@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -20,7 +19,8 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .groups import FiniteGroup, Subgroup
-from .snf import smith_normal_form
+from .ntheory import factorize
+from .snf import rational_rref, smith_normal_form
 
 RANK_ZG_CAP = 512
 TUPLE_BUDGET = 1 << 22
@@ -29,22 +29,11 @@ TUPLE_BUDGET = 1 << 22
 def _mat_inverse_unimodular(q: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix."""
     n = len(q)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(q)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[x for x in row[n:]] for row in a]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise PreconditionViolated("matrix is not unimodular")
+    rows, pivots = rational_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)])
+    out = [row[n:] for row in rows]
+    if pivots != list(range(n)) or any(x.denominator != 1 for row in out for x in row):
+        raise PreconditionViolated("matrix is not unimodular")
     return [[int(x) for x in row] for row in out]
 
 
@@ -77,10 +66,6 @@ class AbelianStructure:
     from_vec: dict = field(repr=False)
 
     @property
-    def order(self) -> int:
-        return len(self.subgroup.elements)
-
-    @property
     def exponent(self) -> int:
         return self.divisors[-1] if self.divisors else 1
 
@@ -102,9 +87,6 @@ class AbelianStructure:
 
     def zero(self) -> tuple:
         return (0,) * len(self.divisors)
-
-    def all_vectors(self):
-        return itertools.product(*[range(d) for d in self.divisors])
 
 
 def structure(a: Subgroup) -> AbelianStructure:
@@ -157,10 +139,6 @@ def structure(a: Subgroup) -> AbelianStructure:
     return AbelianStructure(a, divisors, new_gens, to_vec, from_vec)
 
 
-def rank(a: AbelianStructure) -> int:
-    return a.rank()
-
-
 @dataclass
 class GModule:
     """Finite abelian group in divisor coordinates with an action by matrices.
@@ -172,7 +150,6 @@ class GModule:
     divisors: list[int]
     action: list[list[list[int]]]
     base: Optional[AbelianStructure] = None
-    label: str = ""
 
     @property
     def order(self) -> int:
@@ -212,23 +189,6 @@ def module_from_subgroup(g: FiniteGroup, a: Subgroup) -> GModule:
     return GModule(list(st.divisors), mats, base=st)
 
 
-def _act_word_check(g: FiniteGroup, a: Subgroup, m: GModule, samples: int = 20) -> bool:
-    """Spot-check that matrix action matches conjugation on sampled pairs."""
-    import random
-
-    st = m.base
-    rng = random.Random(7)
-    elems = sorted(a.elements)
-    for _ in range(samples):
-        gi = rng.randrange(len(g.generators))
-        x = g.generators[gi]
-        e = elems[rng.randrange(len(elems))]
-        img = g.mult(g.mult(x, e), g.inv(x))
-        if st.to_vector(img) != m.act(gi, st.to_vector(e)):
-            return False
-    return True
-
-
 def dual_module(m: GModule) -> GModule:
     """Contragredient module on the character group, same divisor shape.
 
@@ -238,7 +198,7 @@ def dual_module(m: GModule) -> GModule:
     """
     r = len(m.divisors)
     if r == 0:
-        return GModule([], [[] for _ in m.action], label=m.label + "*")
+        return GModule([], [[] for _ in m.action])
     e = m.divisors[-1]
     duals = []
     for gi in range(len(m.action)):
@@ -260,7 +220,7 @@ def dual_module(m: GModule) -> GModule:
                 col.append((exponent // w) % m.divisors[t])
             cols.append(col)
         duals.append([[cols[i][t] for i in range(r)] for t in range(r)])
-    return GModule(list(m.divisors), duals, label=m.label + "*")
+    return GModule(list(m.divisors), duals)
 
 
 def _invert_action(m: GModule, gen_idx: int) -> list[list[int]]:
@@ -454,7 +414,7 @@ def eldiv_shift(a: AbelianStructure, c: list[int], h: int) -> list[int]:
         return [0] * n
 
     oh = p.element_order(h)
-    fact = _factorize(oh)
+    fact = factorize(oh)
     # primary decomposition h = sum_t h_t with h_t = beta_t * h
     betas = []
     parts = []
@@ -488,18 +448,3 @@ def eldiv_shift(a: AbelianStructure, c: list[int], h: int) -> list[int]:
         raise PreconditionViolated("generator shift failed its closure check")
     return out
 
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            l = 0
-            while n % d == 0:
-                n //= d
-                l += 1
-            out.append((d, l))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out

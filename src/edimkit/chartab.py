@@ -9,14 +9,15 @@ orthogonality relations are verified exactly on every table.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .abelian import structure
 from .cyclo import Cyclotomic
 from .errors import (
     BackendLimit,
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .fields import FieldDescriptor, supports_splitting
 from .groups import FiniteGroup, Subgroup
+from .ntheory import is_prime, primitive_root
 
 CLASS_LIMIT = 120
 ORDER_LIMIT = 50_000
@@ -37,46 +39,16 @@ ORDER_LIMIT = 50_000
 # prime-field helpers
 
 
-def _next_dixon_prime(exp_g: int, order: int, n_classes: int = 0) -> int:
+def _next_dixon_prime(exp_g: int, order: int, n_classes: int) -> int:
     # q must exceed 2*sqrt(|G|) so degrees are determined by their residues,
     # and exceed the class count so polynomial interpolation has enough points
     bound = max(2 * math.isqrt(order) + 1, n_classes + 1)
     q = exp_g + 1
     while True:
-        if q > bound and _is_prime(q):
+        if q > bound and is_prime(q):
             return q
         q += exp_g
     # unreachable
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _primitive_root(q: int) -> int:
-    """Smallest primitive root modulo the prime q."""
-    fact = []
-    n = q - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fact.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fact.append(n)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in fact):
-            return g
-    raise InternalInconsistency(f"no primitive root mod {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +203,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
-    def value(self, row: int, g: int) -> Cyclotomic:
-        return self.values[row][self.group.class_map()[g]]
-
     def verify_orthogonality(self, full: bool = True) -> None:
         g = self.group
         n = self.n_classes
@@ -298,9 +267,6 @@ class CentralCharacter:
     conductor: int
     values: dict  # element index -> root-of-unity exponent (out of conductor)
 
-    def value(self, z: int) -> int:
-        return self.values[z]
-
     def key(self) -> tuple:
         return tuple(self.values[z] for z in sorted(self.values))
 
@@ -356,7 +322,7 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     if any(len(s) != 1 for s in spaces) or len(spaces) != n:
         raise InternalInconsistency("failed to split the class algebra into lines")
 
-    w0 = _primitive_root(q)
+    w0 = primitive_root(q)
     zq = pow(w0, (q - 1) // e, q)  # fixed primitive e-th root of unity in F_q
     dlog = {pow(zq, t, q): t for t in range(e)}
 
@@ -456,11 +422,15 @@ def _power_class_table(g: FiniteGroup, reps, cmap):
 # cache
 
 
-def _cache_path(g: FiniteGroup, cache_dir: Optional[str]) -> Path:
-    base = cache_dir or os.environ.get("EDIMKIT_CACHE") or \
+def cache_directory(cache_dir: Optional[str]) -> str:
+    """The table cache: cache_dir if given, else $EDIMKIT_CACHE, else ~/.cache/edimkit."""
+    return cache_dir or os.environ.get("EDIMKIT_CACHE") or \
         os.path.join(os.path.expanduser("~"), ".cache", "edimkit")
+
+
+def _cache_path(g: FiniteGroup, cache_dir: Optional[str]) -> Path:
     key = g.fingerprint(with_generators=True).replace(":", "_")
-    return Path(base) / f"chartab_{key}.json"
+    return Path(cache_directory(cache_dir)) / f"chartab_{key}.json"
 
 
 def _cache_load(g: FiniteGroup, cache_dir: Optional[str]) -> Optional[CharacterTable]:
@@ -527,12 +497,6 @@ def central_character(table: CharacterTable, row: int,
     return CentralCharacter(c, e, values)
 
 
-def _central_character_fast(table: CharacterTable, row: int,
-                            c: Subgroup) -> CentralCharacter:
-    """Same as central_character, but solves for the exponent via generators."""
-    return central_character(table, row, c)
-
-
 def rep_chi_degrees(table: CharacterTable, c: Subgroup,
                     chi: CentralCharacter) -> list[int]:
     """Degrees of the irreducible rows whose central character on c equals chi."""
@@ -559,17 +523,13 @@ def f_value(table: CharacterTable, field: FieldDescriptor, c: Subgroup,
 
 def all_central_characters(table: CharacterTable, c: Subgroup) -> list[CentralCharacter]:
     """Every character of a central subgroup, enumerated through the structure."""
-    from .abelian import structure
-
     st = structure(c)
     e = table.conductor
     exp_c = st.exponent
     if exp_c > 1 and e % exp_c != 0:
         raise InternalInconsistency("central subgroup exponent does not divide conductor")
     out = []
-    import itertools as _it
-
-    for coeffs in _it.product(*[range(d) for d in st.divisors]):
+    for coeffs in itertools.product(*[range(d) for d in st.divisors]):
         values = {}
         for z in sorted(c.elements):
             vec = st.to_vector(z)

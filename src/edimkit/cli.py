@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .abelian import structure
-from .chartab import character_table, _cache_path
+from .chartab import cache_directory, character_table
 from .engine import FactStore, covdim, edim
 from .errors import EdimkitError, FactConflict, OutOfScope, ParseError
 from .fields import (
@@ -44,10 +44,6 @@ def _load_group(path: str) -> FiniteGroup:
     return load_group(path)
 
 
-def _field(args) -> "FieldDescriptor":
-    return parse_field(args.field)
-
-
 def _facts(args) -> FactStore:
     store = FactStore()
     if getattr(args, "facts", None):
@@ -68,7 +64,7 @@ def _trace_strings(result) -> list:
 
 def cmd_invariants(args) -> dict:
     g = _load_group(args.group)
-    f = _field(args)
+    f = parse_field(args.field)
     feet = g.feet()
     soc = g.socle()
     zk = k_center(g, f)
@@ -110,14 +106,14 @@ def cmd_chartab(args) -> dict:
 
 def cmd_rdim(args) -> dict:
     g = _load_group(args.group)
-    f = _field(args)
+    f = parse_field(args.field)
     w = rdim(g, f)
     return w.as_dict()
 
 
 def cmd_edim(args) -> dict:
     g = _load_group(args.group)
-    f = _field(args)
+    f = parse_field(args.field)
     r = edim(g, f, facts=_facts(args), subgroups=args.subgroups)
     out = r.as_dict()
     out["trace"] = _trace_strings(r)
@@ -126,7 +122,7 @@ def cmd_edim(args) -> dict:
 
 def cmd_covdim(args) -> dict:
     g = _load_group(args.group)
-    f = _field(args)
+    f = parse_field(args.field)
     r = covdim(g, f, facts=_facts(args), subgroups=args.subgroups)
     out = r.as_dict()
     out["trace"] = _trace_strings(r)
@@ -176,9 +172,7 @@ def cmd_facts(args) -> dict:
 
 
 def cmd_cache(args) -> dict:
-    base = _cache_path.__globals__  # reuse the same resolution as chartab
-    directory = args.cache_dir or os.environ.get("EDIMKIT_CACHE") or \
-        os.path.join(os.path.expanduser("~"), ".cache", "edimkit")
+    directory = cache_directory(args.cache_dir)
     if args.action == "path":
         return {"cache_dir": directory}
     if args.action == "clear":

@@ -15,24 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInconsistency
-
-
-@lru_cache(maxsize=None)
-def _factor(e: int) -> tuple:
-    out = []
-    n = e
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+from .ntheory import factorize
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +25,7 @@ def _expansion(e: int, t: int):
     sign = 1
     # per prime power, list of exponents the component expands into
     comp_lists = []
-    for p, a in _factor(e):
+    for p, a in factorize(e):
         pa = p ** a
         rest = e // pa
         tp = t % pa

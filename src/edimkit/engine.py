@@ -9,8 +9,7 @@ loudly on contradiction.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import structure
@@ -19,7 +18,6 @@ from .errors import (
     FactConflict,
     HypothesisFailed,
     NotSemiFaithful,
-    OutOfScope,
     SearchBudgetExceeded,
 )
 from .fields import (
@@ -27,12 +25,18 @@ from .fields import (
     has_primitive_root,
     is_semi_faithful,
     k_center,
+    k_center_rank,
     supports_splitting,
 )
-from .groups import FiniteGroup, PairBackend, Subgroup, all_subgroups, is_two_transitive
+from .groups import (
+    SUBGROUP_LATTICE_LIMIT,
+    FiniteGroup,
+    Subgroup,
+    all_subgroups,
+    is_two_transitive,
+)
+from .ntheory import factorize, prime_power_base
 from .repdim import (
-    _is_prime_power,
-    central_ext_rdim,
     check_transfer_hypotheses,
     rdim,
     restriction_data,
@@ -206,7 +210,6 @@ CITE = {
 def edim(g: FiniteGroup, f: FieldDescriptor,
          facts: Optional[FactStore] = None,
          subgroups: str = "cyclic",
-         extra_subgroups: Optional[list] = None,
          _depth: int = 0,
          _seen: frozenset = frozenset()) -> EdimResult:
     """Certified interval (often exact) for the essential dimension of g over f."""
@@ -240,7 +243,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     if b.exact:
         return b.result()
 
-    rk_z = structure(k_center(g, f)).rank()
+    rk_z = k_center_rank(g, f)
 
     # R4: identity covariant of a minimal faithful representation
     if is_semi_faithful(g, f):
@@ -270,7 +273,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     # R5: exactness for central prime-power socle with gcd=min degrees
     if supports_splitting(g, f):
         soc = g.socle()
-        p = _is_prime_power(soc.order)
+        p = prime_power_base(soc.order)
         if p is not None and soc.is_central() and has_primitive_root(f, p):
             table = character_table(g)
             if gcd_min_condition(table, f, soc):
@@ -293,8 +296,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     # R8: subgroup lower bounds
     if _depth < MAX_RECURSION and (
             f.characteristic == 0 or g.order % f.characteristic != 0):
-        _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups,
-                               extra_subgroups, _depth, seen)
+        _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, _depth, seen)
     if b.exact:
         return b.result()
 
@@ -302,11 +304,11 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     if _depth < MAX_RECURSION and g.factors is not None:
         g1, g2 = g.factors
         if g1.fingerprint() not in seen and g2.fingerprint() not in seen:
-            e1 = edim(g1, f, facts, subgroups, None, _depth + 1, seen)
-            e2 = edim(g2, f, facts, subgroups, None, _depth + 1, seen)
+            e1 = edim(g1, f, facts, subgroups, _depth + 1, seen)
+            e2 = edim(g2, f, facts, subgroups, _depth + 1, seen)
             if e1.upper is not None and e2.upper is not None:
-                rk1 = structure(k_center(g1, f)).rank()
-                rk2 = structure(k_center(g2, f)).rank()
+                rk1 = k_center_rank(g1, f)
+                rk2 = k_center_rank(g2, f)
                 b.tighten_upper(e1.upper + e2.upper - rk1 - rk2 + rk_z,
                                 "R9", CITE["R9"],
                                 f"factors bounded by {e1.upper} and {e2.upper}")
@@ -362,7 +364,7 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
         q = qm.target
         if q.fingerprint() in seen:
             continue
-        rk_q = structure(k_center(q, f)).rank()
+        rk_q = k_center_rank(q, f)
         # is this the direct-abelian-factor special case?
         rule = "R6"
         detail = f"central subgroup of order {h.order}"
@@ -377,7 +379,7 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
                     and has_primitive_root(f, g1.exponent())):
                 rule = "R7"
                 detail = f"direct abelian factor of order {h.order}"
-        eq = edim(q, f, facts, subgroups, None, depth + 1, seen)
+        eq = edim(q, f, facts, subgroups, depth + 1, seen)
         shift = rk_z - rk_q
         b.tighten_lower(eq.lower + shift, rule, CITE[rule],
                         detail + f"; quotient lower {eq.lower}, shift {shift}")
@@ -387,10 +389,9 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
         break  # the largest admissible cancellation suffices
 
 
-def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups,
-                           extra_subgroups, depth, seen):
+def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, depth, seen):
     candidates: list[frozenset] = []
-    if subgroups == "all" and g.order <= 200:
+    if subgroups == "all" and g.order <= SUBGROUP_LATTICE_LIMIT:
         candidates = [s for s in all_subgroups(g) if 1 < len(s) < g.order]
     else:
         seen_sets = set()
@@ -401,19 +402,13 @@ def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups,
             if len(s) < g.order and s not in seen_sets:
                 seen_sets.add(s)
                 candidates.append(s)
-    if extra_subgroups:
-        for s in extra_subgroups:
-            elems = g.subgroup_closure(s)
-            if 1 < len(elems) < g.order:
-                candidates.append(elems)
     for elems in candidates:
         h = Subgroup(g, elems)
         hg, _ = h.as_group()
         if hg.fingerprint() in seen:
             continue
-        eh = edim(hg, f, facts, subgroups="cyclic",
-                  extra_subgroups=None, _depth=depth + 1, _seen=seen)
-        rk_h = structure(k_center(hg, f)).rank()
+        eh = edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1, _seen=seen)
+        rk_h = k_center_rank(hg, f)
         bound = eh.lower - rk_h + rk_z
         if bound > b.lower:
             b.tighten_lower(bound, "R8", CITE["R8"],
@@ -432,7 +427,7 @@ def _apply_char_p_estimate(g, f, b, facts, subgroups, depth, seen):
     q = qm.target
     if q.fingerprint() in seen:
         return
-    eq = edim(q, f, facts, subgroups, None, depth + 1, seen)
+    eq = edim(q, f, facts, subgroups, depth + 1, seen)
     b.tighten_lower(eq.lower, "R10", CITE["R10"],
                     f"quotient by central elementary abelian {p}-group of "
                     f"order {a.order}: lower {eq.lower}")
@@ -495,7 +490,7 @@ def conjectural_edim(g: FiniteGroup, f: FieldDescriptor) -> ConjecturalValue:
         raise HypothesisFailed("socle is central")
     if not supports_splitting(g, f):
         raise HypothesisFailed("field splits the group")
-    primes = sorted({p for p, _ in _factorize(soc.order)})
+    primes = [p for p, _ in factorize(soc.order)]
     for p in primes:
         if not has_primitive_root(f, p):
             raise HypothesisFailed(f"k contains a primitive {p}-th root of unity")
@@ -504,7 +499,8 @@ def conjectural_edim(g: FiniteGroup, f: FieldDescriptor) -> ConjecturalValue:
     per_prime = {}
     for p in primes:
         part = Subgroup(g, frozenset(
-            x for x in soc.elements if _is_power_of(g.element_order(x), p)),
+            x for x in soc.elements
+            if x == 0 or prime_power_base(g.element_order(x)) == p),
             normal=True)
         if not gcd_min_condition(table, f, part):
             raise HypothesisFailed(
@@ -518,24 +514,3 @@ def conjectural_edim(g: FiniteGroup, f: FieldDescriptor) -> ConjecturalValue:
     soc_rank = structure(soc).rank()
     return ConjecturalValue(total + soc_rank, True, per_prime, soc_rank)
 
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import ParseError
+from .abelian import structure
+from .errors import InternalInconsistency, ParseError
 from .groups import FiniteGroup, Subgroup
+from .ntheory import is_prime, prime_power_base
 
 ALL = "all"
 CYCLOTOMIC = "cyclotomic"
@@ -71,20 +72,6 @@ def explicit_field(char: int, orders) -> FieldDescriptor:
     return FieldDescriptor(char, EXPLICIT, explicit_orders=frozenset(closed))
 
 
-_PRIMES_CACHE: set = set()
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def parse_field(s: str) -> FieldDescriptor:
     """Parse "Q" | "Q(zeta_m)" | "algclosed:c" | "char=p;zeta=n1,n2,..."."""
     s = s.strip()
@@ -99,13 +86,13 @@ def parse_field(s: str) -> FieldDescriptor:
     m = re.fullmatch(r"algclosed:(\d+)", s)
     if m:
         c = int(m.group(1))
-        if c != 0 and not _is_prime(c):
+        if c != 0 and not is_prime(c):
             raise ParseError(f"characteristic {c} is not 0 or prime", len("algclosed:"))
         return algebraically_closed(c)
     m = re.fullmatch(r"char=(\d+);zeta=([\d,]*)", s)
     if m:
         c = int(m.group(1))
-        if c != 0 and not _is_prime(c):
+        if c != 0 and not is_prime(c):
             raise ParseError(f"characteristic {c} is not 0 or prime", len("char="))
         orders = [int(t) for t in m.group(2).split(",") if t]
         return explicit_field(c, orders)
@@ -137,13 +124,11 @@ def k_center(g: FiniteGroup, f: FieldDescriptor) -> Subgroup:
     # closure sanity: the scalar-center must itself be a subgroup
     got = g.subgroup_closure(sorted(elems))
     if got != elems:
-        raise ParseError("scalar center failed to be a subgroup")  # pragma: no cover
+        raise InternalInconsistency("scalar center failed to be a subgroup")
     return sub
 
 
 def k_center_rank(g: FiniteGroup, f: FieldDescriptor) -> int:
-    from .abelian import structure
-
     return structure(k_center(g, f)).rank()
 
 
@@ -156,13 +141,7 @@ def is_semi_faithful(g: FiniteGroup, f: FieldDescriptor) -> bool:
     p = f.characteristic
     if p == 0 or g.order == 1:
         return True
-    for foot in g.feet():
-        sub_order = foot.order
-        while sub_order % p == 0:
-            sub_order //= p
-        if sub_order == 1:
-            return False
-    return True
+    return all(prime_power_base(foot.order) != p for foot in g.feet())
 
 
 def supports_splitting(g: FiniteGroup, f: FieldDescriptor) -> bool:

@@ -14,8 +14,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ TABLE_LIMIT = 4096
 ELEMENT_CAP = 50_000
 FULL_ASSOC_LIMIT = 256
 ASSOC_SAMPLES = 10_000
+SUBGROUP_LATTICE_LIMIT = 200
 
 
 def compose(p: tuple, q: tuple) -> tuple:
@@ -334,9 +334,6 @@ class FiniteGroup:
                 return Subgroup(self, elems, normal=True, gens=gens)
             gens.append(new)
 
-    def subgroup(self, elems: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, frozenset(elems))
-
     def feet(self) -> list["Subgroup"]:
         """All minimal nontrivial normal subgroups."""
         if self.order == 1:
@@ -475,9 +472,6 @@ class Subgroup:
             for g in p.generators
         )
 
-    def contains(self, g: int) -> bool:
-        return g in self.elements
-
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.parent, self.elements & other.elements)
 
@@ -529,7 +523,6 @@ def _tabulate(g: FiniteGroup) -> FiniteGroup:
 def from_generators(
     perms: Sequence[Sequence[int]],
     degree: Optional[int] = None,
-    cap: int = ELEMENT_CAP,
     name: str = "",
 ) -> FiniteGroup:
     """Group generated by permutations, indexed by breadth-first closure."""
@@ -551,8 +544,8 @@ def from_generators(
         for g in gens:
             w = compose(base, g)
             if w not in index:
-                if len(discovered) >= cap:
-                    raise ClosureTooLarge(f"closure exceeds cap {cap}")
+                if len(discovered) >= ELEMENT_CAP:
+                    raise ClosureTooLarge(f"closure exceeds cap {ELEMENT_CAP}")
                 index[w] = len(discovered)
                 discovered.append(w)
     gen_idx = [index[g] for g in gens]
@@ -566,10 +559,8 @@ def from_generators(
     return FiniteGroup(PermBackend(discovered), gen_idx, name=name, perms=discovered)
 
 
-def from_table(
-    elems: list, mult_fn: Callable, name: str = "", gens: Optional[list] = None
-) -> FiniteGroup:
-    """Group from an abstract element list and multiplication function.
+def from_table(elems: list, mult_fn: Callable, gens: list, name: str = "") -> FiniteGroup:
+    """Group from an abstract element list, multiplication function and generators.
 
     elems[0] must be the identity.
     """
@@ -581,45 +572,12 @@ def from_table(
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             table[i, j] = pos[mult_fn(x, y)]
-    if gens is None:
-        gen_idx = _find_generators(table)
-    else:
-        gen_idx = [pos[g] for g in gens]
-    return FiniteGroup(TableBackend(table), gen_idx, name=name)
+    return FiniteGroup(TableBackend(table), [pos[g] for g in gens], name=name)
 
 
-def _find_generators(table: np.ndarray) -> list[int]:
-    n = table.shape[0]
-    gens: list[int] = []
-    span = {0}
-    for x in range(1, n):
-        if x not in span:
-            gens.append(x)
-            span = _closure_set(table, gens)
-            if len(span) == n:
-                break
-    return gens
-
-
-def _closure_set(table: np.ndarray, gens: list[int]) -> set:
-    seen = {0}
-    order_list = [0]
-    i = 0
-    while i < len(order_list):
-        x = order_list[i]
-        i += 1
-        for g in gens:
-            y = int(table[x, g])
-            if y not in seen:
-                seen.add(y)
-                order_list.append(y)
-    return seen
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup,
-                   cap: int = ELEMENT_CAP) -> FiniteGroup:
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with canonical embeddings g -> g*|G2|, h -> h."""
-    if g1.order * g2.order > cap:
+    if g1.order * g2.order > ELEMENT_CAP:
         raise ClosureTooLarge("product order exceeds cap")
     backend = PairBackend(g1, g2)
     n2 = g2.order
@@ -634,18 +592,11 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     return g
 
 
-def embed_left(g1: FiniteGroup, g2: FiniteGroup, a: int) -> int:
-    return a * g2.order
-
-
-def embed_right(g1: FiniteGroup, g2: FiniteGroup, b: int) -> int:
-    return b
-
-
-def all_subgroups(g: FiniteGroup, max_order: int = 200) -> list[frozenset]:
+def all_subgroups(g: FiniteGroup) -> list[frozenset]:
     """Every subgroup of a small group (test oracle, bottom-up closure)."""
-    if g.order > max_order:
-        raise ClosureTooLarge(f"subgroup lattice limited to order {max_order}")
+    if g.order > SUBGROUP_LATTICE_LIMIT:
+        raise ClosureTooLarge(
+            f"subgroup lattice limited to order {SUBGROUP_LATTICE_LIMIT}")
     found = {frozenset([0])}
     frontier = [frozenset([0])]
     while frontier:
@@ -662,9 +613,9 @@ def all_subgroups(g: FiniteGroup, max_order: int = 200) -> list[frozenset]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def normal_subgroups_bruteforce(g: FiniteGroup, max_order: int = 200) -> list[frozenset]:
+def normal_subgroups_bruteforce(g: FiniteGroup) -> list[frozenset]:
     out = []
-    for s in all_subgroups(g, max_order):
+    for s in all_subgroups(g):
         sub = Subgroup(g, s)
         if sub.is_normal():
             out.append(s)

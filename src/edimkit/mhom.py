@@ -18,9 +18,13 @@ from .errors import (
     LambdaNotInjective,
     NotEquivariant,
     NotMultihomogeneous,
+    ParseError,
     ShapeMismatch,
 )
 from .poly import Polynomial, parse_polynomial
+from .snf import rational_rref
+
+JACOBIAN_POINTS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +271,7 @@ def degree_matrix(phi: GradedPolyMap) -> DegreeMatrix:
 
 def matrix_rank(entries) -> int:
     """Exact rank over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in entries]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    return len(rational_rref(entries)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +389,17 @@ class RankBoundReport:
                  "irreducibility of target blocks is a caller assertion")
 
 
-def jacobian_rank(phi: GradedPolyMap, seed: int = 0, retries: int = 3) -> int:
-    """Jacobian rank at random rational points; max over retries."""
-    rng = random.Random(seed)
+def jacobian_rank(phi: GradedPolyMap) -> int:
+    """Jacobian rank at seeded random rational points; max over JACOBIAN_POINTS."""
+    rng = random.Random(0)
     nv = phi.source.total_dim
     best = 0
-    for _ in range(retries):
+    for _ in range(JACOBIAN_POINTS):
         point = [Fraction(rng.randint(1, 2 ** 63), rng.randint(1, 997))
                  for _ in range(nv)]
-        if phi.denominator.evaluate(point) == 0:
-            continue
         f_val = phi.denominator.evaluate(point)
+        if f_val == 0:
+            continue
         rows = []
         for p in phi.numerators:
             p_val = p.evaluate(point)
@@ -431,13 +415,13 @@ def jacobian_rank(phi: GradedPolyMap, seed: int = 0, retries: int = 3) -> int:
 
 
 def rank_bound_check(phi: GradedPolyMap, gens_v: list, gens_w: list,
-                     scalar_center_rank: int, seed: int = 0) -> RankBoundReport:
+                     scalar_center_rank: int) -> RankBoundReport:
     """Degree-matrix rank vs scalar-center rank, with a labeled dim estimate."""
     if not verify_equivariance(phi, gens_v, gens_w):
         raise NotEquivariant("map does not intertwine the given actions")
     mat = degree_matrix(phi)
     rk_m = mat.rank()
-    dim_est = jacobian_rank(phi, seed=seed)
+    dim_est = jacobian_rank(phi)
     return RankBoundReport(
         degree_matrix_rank=rk_m,
         scalar_center_rank=scalar_center_rank,
@@ -451,6 +435,12 @@ def rank_bound_check(phi: GradedPolyMap, gens_v: list, gens_w: list,
 # JSON ingestion
 
 
+def _list_of(kind: type, key: str, value) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise ParseError(f"map key {key!r} must be a list of {kind.__name__}")
+    return value
+
+
 def map_from_json(data: dict) -> tuple[GradedPolyMap, Optional[list], Optional[list]]:
     """Build a graded map (and optional generator matrices) from a JSON dict.
 
@@ -458,20 +448,31 @@ def map_from_json(data: dict) -> tuple[GradedPolyMap, Optional[list], Optional[l
     (list of expression strings), optional denominator, optional
     source_variables, optional generators_source / generators_target.
     """
-    source = Grading(tuple(data["source_blocks"]), prefix=data.get("prefix", "x"))
-    target = Grading(tuple(data["target_blocks"]), prefix="y")
-    names = data.get("source_variables") or source.variable_names()
+    if not isinstance(data, dict):
+        raise ParseError("map must be a JSON object")
+    prefix = data.get("prefix", "x")
+    den_src = data.get("denominator", "1")
+    if not isinstance(prefix, str) or not isinstance(den_src, str):
+        raise ParseError("map keys 'prefix' and 'denominator' must be strings")
+    source = Grading(tuple(_list_of(int, "source_blocks", data.get("source_blocks"))),
+                     prefix=prefix)
+    target = Grading(tuple(_list_of(int, "target_blocks", data.get("target_blocks"))),
+                     prefix="y")
+    names = _list_of(str, "source_variables",
+                     data.get("source_variables") or source.variable_names())
     if len(names) != source.total_dim:
         raise ShapeMismatch("variable name count does not match source grading")
-    nums = [parse_polynomial(s, names) for s in data["numerators"]]
-    den_src = data.get("denominator", "1")
+    nums = [parse_polynomial(s, names)
+            for s in _list_of(str, "numerators", data.get("numerators"))]
     den = parse_polynomial(den_src, names)
     phi = GradedPolyMap(source, target, nums, den)
 
     def load_mats(key):
         if key not in data:
             return None
-        return [[[Fraction(str(x)) for x in row] for row in mat]
-                for mat in data[key]]
+        mats = _list_of(list, key, data[key])
+        if not all(isinstance(row, list) for mat in mats for row in mat):
+            raise ParseError(f"map key {key!r} must be a list of matrices")
+        return [[[Fraction(str(x)) for x in row] for row in mat] for mat in mats]
 
     return phi, load_mats("generators_source"), load_mats("generators_target")

@@ -20,11 +20,15 @@ from .groups import FiniteGroup, direct_product, from_generators, from_table
 def cycles_to_perm(cycles: list[list[int]], degree: int) -> list[int]:
     perm = list(range(degree))
     for cyc in cycles:
+        if not isinstance(cyc, list) or not all(isinstance(a, int) for a in cyc):
+            raise ParseError(f"cycle {cyc!r} is not a list of points")
         for i, a in enumerate(cyc):
             b = cyc[(i + 1) % len(cyc)]
             if not (0 <= a < degree):
                 raise ParseError(f"cycle point {a} outside degree {degree}")
             perm[a] = b
+    if sorted(perm) != list(range(degree)):
+        raise ParseError("cycles do not define a permutation")
     return perm
 
 
@@ -155,6 +159,8 @@ def group_from_json(spec: dict) -> FiniteGroup:
             raise ParseError("permutation spec needs a 'generators' list of cycle lists")
         perms = []
         for g in gens:
+            if not isinstance(g, list):
+                raise ParseError("each generator must be an image list or a cycle list")
             if g and all(isinstance(x, int) for x in g):
                 # one-line image list (must cover 0..degree-1)
                 if sorted(g) != list(range(degree)):
@@ -175,12 +181,6 @@ def group_from_json(spec: dict) -> FiniteGroup:
         name = spec.get("name")
         if not isinstance(name, str):
             raise ParseError("named spec needs a 'name' string")
-        if "x" in name:
-            parts = name.split("x")
-            g = named_group(parts[0])
-            for p in parts[1:]:
-                g = direct_product(g, named_group(p))
-            return g
         return named_group(name)
     raise ParseError(f"unknown group kind {kind!r}")
 

@@ -133,15 +133,6 @@ class Polynomial:
             out[dm] = out.get(dm, Fraction(0)) + c * m[i]
         return Polynomial(self.nvars, out)
 
-    # -- structure ------------------------------------------------------
-
-    def monomials(self):
-        return sorted(self.terms)
-
-    def filter_monomials(self, keep) -> "Polynomial":
-        return Polynomial(self.nvars,
-                          {m: c for m, c in self.terms.items() if keep(m)})
-
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other):

@@ -11,13 +11,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .abelian import (
     AbelianStructure,
-    GModule,
     dual_module,
     module_from_subgroup,
     rank_zg,
@@ -37,9 +36,11 @@ from .fields import (
     has_primitive_root,
     is_semi_faithful,
     k_center,
+    k_center_rank,
     supports_splitting,
 )
 from .groups import FiniteGroup, Subgroup, all_subgroups
+from .ntheory import prime_power_base
 
 PATH_C_BUDGET = 10_000_000
 ORACLE_ROW_LIMIT = 40
@@ -64,15 +65,13 @@ def min_components(g: FiniteGroup, f: FieldDescriptor) -> int:
     return max(rank_zg(module_from_subgroup(g, a)), 1)
 
 
-def min_components_oracle(g: FiniteGroup, f: FieldDescriptor,
-                          table: Optional[CharacterTable] = None) -> int:
+def min_components_oracle(g: FiniteGroup, f: FieldDescriptor) -> int:
     """Independent brute force: smallest set of rows with trivial joint kernel."""
     if not supports_splitting(g, f):
         raise OutOfScope("field does not split the group")
     if g.order == 1:
         return 1
-    if table is None:
-        table = character_table(g)
+    table = character_table(g)
     n = table.n_classes
     if n > ORACLE_ROW_LIMIT:
         raise SearchBudgetExceeded(f"{n} rows exceed the oracle limit")
@@ -212,34 +211,18 @@ def _verify_witness(table: CharacterTable, rows: list[int]) -> None:
         raise InternalInconsistency("rdim witness rows are not jointly faithful")
 
 
-def _is_prime_power(n: int) -> Optional[int]:
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1
-    return n
-
-
 def rdim(g: FiniteGroup, f: FieldDescriptor,
-         force_path: Optional[str] = None,
-         table: Optional[CharacterTable] = None) -> RdimWitness:
+         force_path: Optional[str] = None) -> RdimWitness:
     """Exact least dimension of a faithful representation, with witness rows."""
     if not supports_splitting(g, f):
         raise OutOfScope("field does not split the group")
     if g.order == 1:
         return RdimWitness(0, [], [], "trivial")
-    if table is None:
-        table = character_table(g)
+    table = character_table(g)
     soc = g.socle()
     path = force_path
     if path is None:
-        if soc.is_central() and _is_prime_power(soc.order):
+        if soc.is_central() and prime_power_base(soc.order):
             path = "A"
         elif soc.is_abelian():
             path = "B"
@@ -257,7 +240,7 @@ def rdim(g: FiniteGroup, f: FieldDescriptor,
 
 def _rdim_path_a(g: FiniteGroup, table: CharacterTable,
                  soc: Subgroup) -> RdimWitness:
-    if not soc.is_central() or _is_prime_power(soc.order) is None:
+    if not soc.is_central() or prime_power_base(soc.order) is None:
         raise HypothesisFailed("socle is not a central prime-power subgroup")
     rd = restriction_data(table, soc)
     mb = minimal_basis(rd.st.divisors, rd.f, rd.f_row)
@@ -301,8 +284,7 @@ def _rdim_path_b(g: FiniteGroup, table: CharacterTable) -> RdimWitness:
     raise InternalInconsistency("character module has no generating system")
 
 
-def _rdim_path_c(g: FiniteGroup, table: CharacterTable,
-                 budget: int = PATH_C_BUDGET) -> RdimWitness:
+def _rdim_path_c(g: FiniteGroup, table: CharacterTable) -> RdimWitness:
     n = table.n_classes
     order = [i for i in range(n)]
     order.sort(key=lambda i: (table.degrees[i], i))
@@ -320,7 +302,7 @@ def _rdim_path_c(g: FiniteGroup, table: CharacterTable,
 
     def dfs(pos: int, ker: frozenset, total: int, chosen: tuple):
         nodes[0] += 1
-        if nodes[0] > budget:
+        if nodes[0] > PATH_C_BUDGET:
             raise SearchBudgetExceeded("kernel-intersection search budget exhausted")
         if ker == trivial:
             if total < best_sum[0] or (total == best_sum[0] and
@@ -423,12 +405,10 @@ def central_ext_rdim(g: FiniteGroup, h: Subgroup, f: FieldDescriptor,
     the inequality direction is certified and the transferred value is a bound.
     """
     exp_factor = check_transfer_hypotheses(g, h, f)
-    from .abelian import structure as _structure
-
-    rk_g = _structure(k_center(g, f)).rank()
+    rk_g = k_center_rank(g, f)
     qm = g.quotient(h)
     quotient = qm.target
-    rk_q = _structure(k_center(quotient, f)).rank()
+    rk_q = k_center_rank(quotient, f)
 
     # quotient rank identity: the scalar center maps onto the quotient's
     zk = k_center(g, f)
@@ -437,7 +417,7 @@ def central_ext_rdim(g: FiniteGroup, h: Subgroup, f: FieldDescriptor,
     identity_holds = image == zq.elements
 
     soc = g.socle()
-    equality = soc.is_central() and _is_prime_power(soc.order) is not None
+    equality = soc.is_central() and prime_power_base(soc.order) is not None
 
     if known_side == "quotient":
         transferred = known_value - rk_q + rk_g

@@ -1,10 +1,12 @@
-"""Smith normal form over the integers with transform matrices.
+"""Exact linear algebra: integer Smith normal form and rational row reduction.
 
-Arbitrary-precision; pivot chosen by least nonzero absolute value to keep
-coefficients small at the matrix sizes used here.
+Arbitrary-precision; the Smith pivot is chosen by least nonzero absolute value
+to keep coefficients small at the matrix sizes used here.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def identity(n: int) -> list[list[int]]:
@@ -112,3 +114,26 @@ def elementary_divisors(mat: list[list[int]]) -> list[int]:
         if v > 1:
             out.append(v)
     return out
+
+
+def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (nonzero rows, their pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots

@@ -104,6 +104,19 @@ def test_mhom_bad_lambda_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb, payload", [
+    (["mhom", "homogenize"], {}),
+    (["mhom", "homogenize"], []),
+    (["invariants"], {"kind": "permutation", "degree": 3, "generators": [5]}),
+])
+def test_malformed_input_is_a_parse_error(capsys, tmp_path, verb, payload):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(payload))
+    code, doc = run(capsys, *verb, str(p))
+    assert code == 2
+    assert doc["error"] == "ParseError" and doc["detail"]
+
+
 def test_facts_merge_show_and_conflict(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

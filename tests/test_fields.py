@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edimkit.errors import ParseError
+from edimkit.errors import InternalInconsistency, ParseError
 from edimkit.fields import (
     algebraically_closed,
     cyclotomic_field,
@@ -92,6 +92,14 @@ def test_k_center_examples():
     assert k_center(c12, rationals()).order == 2
     assert k_center(c12, cyclotomic_field(4)).order == 4
     assert k_center(c12, cyclotomic_field(12)).order == 12
+
+
+def test_k_center_failed_self_check_is_internal(monkeypatch):
+    # a closure that disagrees with the element filter is a bug, not bad input
+    c12 = named_group("C12")
+    monkeypatch.setattr(c12, "subgroup_closure", lambda gens: frozenset(c12.elements()))
+    with pytest.raises(InternalInconsistency):
+        k_center(c12, rationals())
 
 
 def test_semi_faithful():

@@ -3,8 +3,16 @@
 The class-multiplication constants give commuting integer matrices; their
 simultaneous eigenvectors over F_q (q = 1 mod exp G, q > 2 sqrt |G|) determine
 the characters mod q, which are lifted to exact cyclotomic values through
-discrete logarithms and root-of-unity multiplicity extraction.  Both
-orthogonality relations are verified exactly on every table.
+discrete logarithms and root-of-unity multiplicity extraction.
+
+Every table is certified before use, whether computed or reloaded from the
+cache, at every group order: `CharacterTable.verify_orthogonality` checks both
+orthogonality relations in int64 matrix arithmetic at every primitive e-th
+root of unity modulo primes q = 1 (mod e) whose product exceeds a bound on
+every residual; with integral coefficients this proves the relations exactly
+(the argument is in its docstring).  Cache files are keyed on the
+presentation, and a reloaded table must carry the group's own class
+representatives, class sizes and inverse classes.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .abelian import structure
 from .cyclo import Cyclotomic
@@ -29,7 +39,7 @@ from .errors import (
 )
 from .fields import FieldDescriptor, supports_splitting
 from .groups import FiniteGroup, Subgroup
-from .ntheory import is_prime, primitive_root
+from .ntheory import factorize, is_prime, primitive_root
 
 CLASS_LIMIT = 120
 ORDER_LIMIT = 50_000
@@ -49,6 +59,50 @@ def _next_dixon_prime(exp_g: int, order: int, n_classes: int) -> int:
             return q
         q += exp_g
     # unreachable
+
+
+def _certificate_primes(e: int, width: int, bound: int) -> list[int]:
+    """Primes q = 1 (mod e) with width * q^2 < 2^63 whose product exceeds bound.
+
+    The largest such primes are taken first, so as few as possible are used.
+    """
+    q = math.isqrt((2 ** 63 - 1) // width)
+    q -= (q - 1) % e
+    primes: list[int] = []
+    product = 1
+    while product <= bound:
+        if q < 2:
+            raise InternalInconsistency(f"too few primes = 1 mod {e} below 2^63")
+        if is_prime(q):
+            primes.append(q)
+            product *= q
+        q -= e
+    return primes
+
+
+def _root_powers(e: int, q: int, exps: np.ndarray) -> np.ndarray:
+    """Matrix w_r^t mod q: rows are the exponents t, columns the phi(e)
+    primitive e-th roots of unity w_r in F_q (q = 1 mod e)."""
+    primes = [p for p, _ in factorize(e)]
+    a = 2
+    while True:
+        z = pow(a, (q - 1) // e, q)
+        if all(pow(z, e // p, q) != 1 for p in primes):
+            break
+        a += 1
+    z_powers = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
+    units = np.array([j for j in range(1, e + 1) if math.gcd(j, e) == 1],
+                     dtype=np.int64)
+    return z_powers[np.outer(exps, units) % e]
+
+
+def _require_equal(got: np.ndarray, expect: np.ndarray, relation: str,
+                   what: str) -> None:
+    bad = np.argwhere(got != expect[None])
+    if len(bad):
+        _, a, b = bad[0]
+        raise InternalInconsistency(
+            f"{relation} orthogonality failed for {what} {min(a, b)},{max(a, b)}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +257,79 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
-    def verify_orthogonality(self, full: bool = True) -> None:
-        g = self.group
+    def verify_orthogonality(self) -> None:
+        """Certify both orthogonality relations exactly, by arithmetic mod primes.
+
+        Every stored coefficient must be an integer.  A value is then
+        sum_t c_t zeta_e^t with integer c_t, an algebraic integer in
+        Z[zeta_e] (the tensor basis is an integral basis), and each of its
+        Galois conjugates has absolute value at most L, the largest
+        coefficient L1-norm in the table.  The class sizes must be positive
+        and sum to |G|, so n <= |G|.  Every row residual
+        sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) - delta_ij |G| and every column
+        residual sum_i chi_i(g_k) chi_i(g_l^-1) - delta_kl |G|/|C_k| is then
+        an element D of Z[zeta_e] whose conjugates are bounded by
+        B = |G| (L^2 + 1).
+
+        The primes q are = 1 (mod e) with product M > B.  Such q is
+        unramified in Z[zeta_e] and splits into phi(e) primes, one for each
+        primitive e-th root of unity w in F_q, with residue map zeta_e -> w.
+        Each relation is checked as a matrix identity over F_q at every q
+        and every w.  So D lies in every prime above every q, hence in
+        q Z[zeta_e] for each q and in M Z[zeta_e].  D/M is then an algebraic
+        integer whose conjugates all have absolute value B/M < 1; its norm
+        is a rational integer of absolute value < 1, hence 0, so D = 0.
+        Each q has n q^2 < 2^63 (and K q^2 < 2^63 for the K distinct
+        exponents in use), so no int64 product or sum below can overflow.
+        """
         n = self.n_classes
-        order = g.order
-        pairs = (
-            [(i, j) for i in range(n) for j in range(i, n)]
-            if full
-            else [(i, i) for i in range(n)] + [(0, j) for j in range(1, n)]
-        )
-        for i, j in pairs:
-            acc = Cyclotomic.zero(self.conductor)
-            for k in range(n):
-                acc = acc + self.values[i][k] * self.values[j][self.inverse_class[k]] \
-                    * self.class_sizes[k]
-            expect = order if i == j else 0
-            if acc != Cyclotomic.from_rational(self.conductor, expect):
-                raise InternalInconsistency(
-                    f"row orthogonality failed for rows {i},{j}")
-        if full:
-            for k in range(n):
-                for l in range(k, n):
-                    acc = Cyclotomic.zero(self.conductor)
-                    for i in range(n):
-                        acc = acc + self.values[i][k] * \
-                            self.values[i][self.inverse_class[l]]
-                    expect = order // self.class_sizes[k] if k == l else 0
-                    if acc != Cyclotomic.from_rational(self.conductor, expect):
-                        raise InternalInconsistency(
-                            f"column orthogonality failed for classes {k},{l}")
+        order = self.group.order
+        e = self.conductor
+        sizes = self.class_sizes
+        inv = self.inverse_class
+        if len(sizes) != n or len(inv) != n or len(self.values) != n or \
+                any(len(row) != n for row in self.values):
+            raise InternalInconsistency("table dimensions do not match the classes")
+        if any(s < 1 for s in sizes) or sum(sizes) != order or \
+                any(order % s for s in sizes):
+            raise InternalInconsistency("class sizes do not partition the group order")
+        if sorted(inv) != list(range(n)):
+            raise InternalInconsistency("inverse classes are not a permutation")
         if sum(d * d for d in self.degrees) != order:
             raise InternalInconsistency("degree squares do not sum to group order")
+
+        cells, exps, coeffs = [], [], []
+        norm = 0
+        for i, row in enumerate(self.values):
+            for k, v in enumerate(row):
+                l1 = 0
+                for t, c in v.coeffs.items():
+                    if c.denominator != 1:
+                        raise InternalInconsistency(
+                            f"value of row {i} at class {k} is not an algebraic integer")
+                    cells.append(i * n + k)
+                    exps.append(t % e)
+                    coeffs.append(int(c))
+                    l1 += abs(c)
+                norm = max(norm, l1)
+        keys, key_idx = np.unique(np.array(exps, dtype=np.int64), return_inverse=True)
+        cells = np.array(cells, dtype=np.int64)
+        inv = np.array(inv)
+        sizes = np.array(sizes, dtype=np.int64)
+        centralizers = np.diag(np.array([order // s for s in self.class_sizes],
+                                        dtype=np.int64))
+        eye = np.eye(n, dtype=np.int64)
+        for q in _certificate_primes(e, max(n, len(keys)), order * (norm * norm + 1)):
+            coef = np.zeros((n * n, len(keys)), dtype=np.int64)
+            np.add.at(coef, (cells, key_idx), [c % q for c in coeffs])
+            # x[r] is the table mod q at the r-th primitive root of unity
+            x = (coef % q) @ _root_powers(e, q, keys) % q
+            x = x.T.reshape(-1, n, n)
+            x_inv = x[:, :, inv]
+            rows = (x * sizes % q) @ x_inv.transpose(0, 2, 1) % q
+            _require_equal(rows, order * eye % q, "row", "rows")
+            cols = x.transpose(0, 2, 1) @ x_inv % q
+            _require_equal(cols, centralizers % q, "column", "classes")
 
     def serialize(self) -> dict:
         return {
@@ -289,26 +385,31 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
     if use_cache:
         cached = _cache_load(g, cache_dir)
         if cached is not None:
-            cached.verify_orthogonality(full=(g.order <= 2000))
+            cached.verify_orthogonality()
             return cached
 
     table = _dixon_schneider(g)
-    table.verify_orthogonality(full=True)
+    table.verify_orthogonality()
     if use_cache:
         _cache_store(g, table, cache_dir)
     return table
 
 
-def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
+def _class_data(g: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
+    """Class representatives (least elements), class sizes and inverse classes."""
     classes = g.conjugacy_classes()
-    n = len(classes)
+    cmap = g.class_map()
     reps = [min(c) for c in classes]
-    sizes = [len(c) for c in classes]
+    return reps, [len(c) for c in classes], [cmap[g.inv(r)] for r in reps]
+
+
+def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
+    reps, sizes, inv_class = _class_data(g)
+    n = len(reps)
     cmap = g.class_map()
     e = g.exponent()
     order = g.order
     q = _next_dixon_prime(e, order, n)
-    inv_class = [cmap[g.inv(r)] for r in reps]
 
     # class multiplication constants: a[i][j][k] = #{(x,y) in C_i x C_j : xy = r_k}
     a = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -429,20 +530,32 @@ def cache_directory(cache_dir: Optional[str]) -> str:
 
 
 def _cache_path(g: FiniteGroup, cache_dir: Optional[str]) -> Path:
-    key = g.fingerprint(with_generators=True).replace(":", "_")
-    return Path(cache_directory(cache_dir)) / f"chartab_{key}.json"
+    """Cache file of g's table, keyed on the presentation itself.
+
+    Class representatives are element indices, so a table is only valid for
+    the same indexing, which `presentation_digest` determines.
+    """
+    key = f"{g.fingerprint(with_generators=False)}_{g.presentation_digest()}"
+    return Path(cache_directory(cache_dir)) / f"chartab_{key.replace(':', '_')}.json"
 
 
 def _cache_load(g: FiniteGroup, cache_dir: Optional[str]) -> Optional[CharacterTable]:
+    """The cached table of g, or None when absent, unreadable or built for
+    other class data than g's own."""
     path = _cache_path(g, cache_dir)
     if not path.exists():
         return None
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return CharacterTable.deserialize(g, data)
-    except (json.JSONDecodeError, KeyError, OSError):
+        table = CharacterTable.deserialize(g, data)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
+    reps, sizes, inv_class = _class_data(g)
+    if (table.class_reps, table.class_sizes, table.inverse_class) != \
+            (reps, sizes, inv_class):
+        return None
+    return table
 
 
 def _cache_store(g: FiniteGroup, table: CharacterTable,

@@ -18,6 +18,7 @@ from .errors import (
     FactConflict,
     HypothesisFailed,
     NotSemiFaithful,
+    ParseError,
     SearchBudgetExceeded,
 )
 from .fields import (
@@ -152,10 +153,22 @@ class FactStore:
 
     @staticmethod
     def deserialize(items: list) -> "FactStore":
+        if not isinstance(items, list):
+            raise ParseError("a facts file must hold a JSON list of facts")
         store = FactStore()
-        for item in items:
-            store.add(item["group"], item["field"], int(item["lower"]),
-                      int(item["upper"]), item.get("source", "unknown"))
+        for i, item in enumerate(items):
+            if not (isinstance(item, dict)
+                    and isinstance(item.get("group"), str)
+                    and isinstance(item.get("field"), str)
+                    and "lower" in item and "upper" in item):
+                raise ParseError(f"fact {i} needs string group and field, "
+                                 "and lower and upper bounds")
+            try:
+                lower, upper = int(item["lower"]), int(item["upper"])
+            except (TypeError, ValueError):
+                raise ParseError(f"fact {i} has a non-integer bound") from None
+            store.add(item["group"], item["field"], lower, upper,
+                      item.get("source", "unknown"))
         return store
 
     def merge(self, other: "FactStore"):

@@ -410,6 +410,21 @@ class FiniteGroup:
             return f"{self._fingerprint}:{g.hexdigest()[:8]}"
         return self._fingerprint
 
+    def presentation_digest(self) -> str:
+        """Hash of the generators' permutations or, for groups without a
+        permutation action, of their columns x -> x*s of the multiplication
+        table.  Either determines the group together with its indexing."""
+        h = hashlib.sha256(json.dumps(self.generators).encode())
+        if self.perms is not None:
+            h.update(json.dumps([self.perms[s] for s in self.generators]).encode())
+        elif isinstance(self.backend, TableBackend):
+            h.update(np.ascontiguousarray(self.backend.table[:, self.generators],
+                                          dtype="<i8").tobytes())
+        else:
+            h.update(json.dumps([[self.mult(x, s) for x in self.elements()]
+                                 for s in self.generators]).encode())
+        return h.hexdigest()[:16]
+
     def __repr__(self):
         label = self.name or "group"
         return f"<FiniteGroup {label} order={self.order}>"
@@ -511,12 +526,28 @@ class QuotientMap:
 
 
 def _tabulate(g: FiniteGroup) -> FiniteGroup:
-    """Replace an arbitrary backend by a dense table (small orders only)."""
+    """Replace a product or quotient backend by a dense table (small orders only).
+
+    Products of two table-backed factors and quotients of a table-backed
+    parent are built with whole-array numpy indexing; only quotients of a
+    permutation-backed parent multiply element by element.
+    """
     n = g.order
-    table = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            table[a, b] = g.mult(a, b)
+    b = g.backend
+    if isinstance(b, PairBackend) and isinstance(b.g1.backend, TableBackend) \
+            and isinstance(b.g2.backend, TableBackend):
+        # (a1, a2)(b1, b2) = (a1 b1, a2 b2), with index a1 * |G2| + a2
+        t1 = b.g1.backend.table
+        t2 = b.g2.backend.table
+        table = (t1[:, None, :, None] * b.g2.order + t2[None, :, None, :]).reshape(n, n)
+    elif isinstance(b, QuotientBackend) and isinstance(b.parent.backend, TableBackend):
+        reps = np.asarray(b.reps)
+        table = np.asarray(b.proj, dtype=np.int32)[b.parent.backend.table[np.ix_(reps, reps)]]
+    else:
+        table = np.zeros((n, n), dtype=np.int32)
+        for x in range(n):
+            for y in range(n):
+                table[x, y] = g.mult(x, y)
     return FiniteGroup(TableBackend(table), g.generators, name=g.name, check=False)
 
 

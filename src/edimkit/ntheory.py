@@ -1,7 +1,9 @@
 """Elementary number theory: primality, factorization, prime powers, primitive roots.
 
-Every argument here is a group order, an element order, a field
-characteristic or a Dixon prime, so trial division is fast enough.
+Factorization is by trial division: every argument is a group order, an
+element order or q - 1 for a Dixon prime.  Primality is Miller-Rabin with a
+base set that is deterministic below 3.3e24, so the certificate primes of
+`chartab` (up to 3e9) are tested in microseconds.
 """
 
 from __future__ import annotations
@@ -31,9 +33,37 @@ def factorize(n: int) -> tuple:
     return tuple(out)
 
 
+# Miller-Rabin with these bases is exact for n < 3.317e24 (Sorenson-Webster)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    # stops at the least divisor: a characteristic comes from user input
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % p == 0 for p in _MR_BASES):
+        return False
+    if n >= _MR_LIMIT:
+        # beyond the deterministic range: trial division, which stops at the
+        # least divisor (a characteristic comes from user input)
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power_base(n: int) -> Optional[int]:

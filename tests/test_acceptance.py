@@ -134,7 +134,7 @@ def test_criterion_08_orthogonality():
         groups["S5"] = symmetric(5)
         for name, g in groups.items():
             t = character_table(g)
-            t.verify_orthogonality(full=True)
+            t.verify_orthogonality()
             assert sum(dd * dd for dd in t.degrees) == g.order, name
 
 

@@ -1,11 +1,18 @@
 """Character tables: degrees, orthogonality, kernels, scalar actions, cache."""
 
+import copy
+import json
 import math
+import os
+from fractions import Fraction
 
 import pytest
 
+import edimkit
 from edimkit.chartab import (
     CharacterTable,
+    _cache_path,
+    _certificate_primes,
     all_central_characters,
     central_character,
     character_table,
@@ -15,10 +22,13 @@ from edimkit.chartab import (
     rep_chi_degrees,
 )
 from edimkit.cyclo import Cyclotomic
-from edimkit.errors import NonScalar, NotCentral, OutOfScope
+from edimkit.errors import InternalInconsistency, NonScalar, NotCentral, OutOfScope
 from edimkit.fields import algebraically_closed, cyclotomic_field, rationals
-from edimkit.groups import Subgroup
-from edimkit.named import alternating, named_group, symmetric
+from edimkit.groups import Subgroup, direct_product, from_generators, from_table
+from edimkit.named import alternating, load_group, named_group, quaternion, symmetric
+
+FIXTURES = os.path.join(os.path.dirname(edimkit.__file__), "fixtures")
+SMALL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if f != "2a8.json")
 
 KNOWN_DEGREES = {
     "C4": [1, 1, 1, 1],
@@ -51,7 +61,7 @@ def test_degree_divides_order():
 def test_orthogonality_a5_s5():
     for g in (alternating(5), symmetric(5)):
         t = character_table(g, use_cache=False)
-        t.verify_orthogonality(full=True)
+        t.verify_orthogonality()
     assert character_table(alternating(5), use_cache=False).degrees == \
         [1, 3, 3, 4, 5]
     assert character_table(symmetric(5), use_cache=False).degrees == \
@@ -170,3 +180,175 @@ def test_determinism():
     t1 = character_table(g, use_cache=False)
     t2 = character_table(g, use_cache=False)
     assert t1.serialize() == t2.serialize()
+
+
+# ---------------------------------------------------------------------------
+# certified verification
+
+
+def fraction_orthogonality(t: CharacterTable) -> bool:
+    """Both orthogonality relations in exact Fraction-coefficient arithmetic
+    (the verifier's reference), plus the degree-square sum."""
+    n, order = t.n_classes, t.group.order
+    for i in range(n):
+        for j in range(i, n):
+            acc = Cyclotomic.zero(t.conductor)
+            for k in range(n):
+                acc = acc + t.values[i][k] * t.values[j][t.inverse_class[k]] \
+                    * t.class_sizes[k]
+            if acc != Cyclotomic.from_rational(t.conductor, order if i == j else 0):
+                return False
+    for k in range(n):
+        for l in range(k, n):
+            acc = Cyclotomic.zero(t.conductor)
+            for i in range(n):
+                acc = acc + t.values[i][k] * t.values[i][t.inverse_class[l]]
+            expect = order // t.class_sizes[k] if k == l else 0
+            if acc != Cyclotomic.from_rational(t.conductor, expect):
+                return False
+    return sum(d * d for d in t.degrees) == order
+
+
+def verifier_accepts(t: CharacterTable) -> bool:
+    try:
+        t.verify_orthogonality()
+    except InternalInconsistency:
+        return False
+    return True
+
+
+def twist_by_zeta(t):
+    # the last row is non-linear or non-trivial; class 1 is not the identity
+    t.values[-1][1] = t.values[-1][1] * Cyclotomic.zeta_power(t.conductor, 1)
+
+
+def halve_a_coefficient(t):
+    v = t.values[-1][1]
+    t.values[-1][1] = v + Fraction(1, 2)
+
+
+def wrong_inverse_class(t):
+    k = next((k for k in range(t.n_classes) if t.inverse_class[k] != k), None)
+    if k is None:
+        # all classes real: make classes 1 and 2 each other's inverse
+        t.inverse_class[1], t.inverse_class[2] = 2, 1
+    else:
+        # k and its inverse class m become real
+        m = t.inverse_class[k]
+        t.inverse_class[k], t.inverse_class[m] = k, m
+
+
+def swap_class_sizes(t):
+    # two classes of different sizes exchange sizes; the total stays |G|
+    k = next(k for k in range(2, t.n_classes) if t.class_sizes[k] != t.class_sizes[1])
+    t.class_sizes[1], t.class_sizes[k] = t.class_sizes[k], t.class_sizes[1]
+
+
+def wrong_class_size(t):
+    t.class_sizes[-1] += 1
+
+
+CORRUPTIONS = [twist_by_zeta, halve_a_coefficient, wrong_inverse_class,
+               swap_class_sizes, wrong_class_size]
+
+
+def _corrupted(t, corrupt):
+    bad = copy.copy(t)
+    bad.values = [list(row) for row in t.values]
+    bad.inverse_class = list(t.inverse_class)
+    bad.class_sizes = list(t.class_sizes)
+    corrupt(bad)
+    return bad
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", ["S4", "Q8xC3", "Heis3"])
+def test_verifier_rejects_corrupted_table(name, corrupt):
+    t = character_table(named_group(name), use_cache=False)
+    with pytest.raises(InternalInconsistency):
+        _corrupted(t, corrupt).verify_orthogonality()
+
+
+@pytest.mark.parametrize("fixture", SMALL_FIXTURES)
+def test_verifier_agrees_with_fraction_oracle(fixture):
+    g = load_group(os.path.join(FIXTURES, fixture))
+    t = character_table(g, use_cache=False)
+    assert verifier_accepts(t) and fraction_orthogonality(t)
+    if t.n_classes < 3:
+        return
+    for corrupt in (twist_by_zeta, wrong_inverse_class):
+        bad = _corrupted(t, corrupt)
+        assert verifier_accepts(bad) == fraction_orthogonality(bad), corrupt.__name__
+
+
+def _is_prime_by_trial(q):
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+@pytest.mark.parametrize("e, width, bound, count", [
+    (1, 5, 100, 1),
+    (12, 33, 10 ** 6, 1),
+    (168, 33, 10 ** 12, 2),
+    (60, 120, 10 ** 30, 4),
+])
+def test_certificate_primes(e, width, bound, count):
+    primes = _certificate_primes(e, width, bound)
+    assert len(primes) == count and len(set(primes)) == count
+    assert all(q % e == 1 % e and width * q * q < 2 ** 63 for q in primes)
+    assert all(_is_prime_by_trial(q) for q in primes)
+    assert math.prod(primes) > bound
+    # minimal: dropping the smallest prime loses the bound
+    assert math.prod(primes) // min(primes) <= bound
+
+
+# ---------------------------------------------------------------------------
+# cache keys: two presentations with equal generator indices
+
+
+def _regular(g):
+    """Right regular permutation representation of g on its generators."""
+    return from_generators([[g.mult(x, s) for x in g.elements()]
+                            for s in g.generators])
+
+
+def _c4_semidirect_c4():
+    elems = [(i, j) for j in range(4) for i in range(4)]
+
+    def mult(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)
+
+    return from_table(elems, mult, [(1, 0), (0, 1), (1, 1)])
+
+
+def test_cache_key_separates_presentations(tmp_path):
+    g1 = _regular(_c4_semidirect_c4())
+    g2 = _regular(direct_product(named_group("C2"), quaternion(8)))
+    # equal weak fingerprints and generator indices: the old key collided
+    assert g1.generators == g2.generators == [1, 2, 3]
+    assert g1.fingerprint(with_generators=False) == \
+        g2.fingerprint(with_generators=False)
+    assert _cache_path(g1, str(tmp_path)) != _cache_path(g2, str(tmp_path))
+    character_table(g1, cache_dir=str(tmp_path))
+    t2 = character_table(g2, cache_dir=str(tmp_path))
+    assert t2.serialize() == character_table(g2, use_cache=False).serialize()
+
+
+def test_reload_rejects_other_class_data(tmp_path):
+    g = named_group("S4")
+    t = character_table(g, use_cache=False)
+    data = t.serialize()
+    data["class_reps"] = data["class_reps"][::-1]
+    path = _cache_path(g, str(tmp_path))
+    path.write_text(json.dumps(data))
+    t2 = character_table(g, cache_dir=str(tmp_path))
+    assert t2.serialize() == t.serialize()
+    assert json.loads(path.read_text()) == t.serialize()
+
+
+def test_reloaded_table_is_verified(tmp_path):
+    g = named_group("S4")
+    t = character_table(g, cache_dir=str(tmp_path))
+    bad = _corrupted(t, twist_by_zeta)
+    _cache_path(g, str(tmp_path)).write_text(json.dumps(bad.serialize()))
+    with pytest.raises(InternalInconsistency):
+        character_table(g, cache_dir=str(tmp_path))

@@ -108,6 +108,11 @@ def test_mhom_bad_lambda_exit_2(capsys, tmp_path):
     (["mhom", "homogenize"], {}),
     (["mhom", "homogenize"], []),
     (["invariants"], {"kind": "permutation", "degree": 3, "generators": [5]}),
+    (["facts", "show"], {"a": 1}),
+    (["facts", "show"], [1]),
+    (["facts", "show"], [{"group": "x"}]),
+    (["facts", "show"], [{"group": "x", "field": "Q", "lower": "a", "upper": 2}]),
+    (["edim", fx("klein.json"), "--facts"], [1]),
 ])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, verb, payload):
     p = tmp_path / "input.json"
@@ -188,3 +193,4 @@ def test_version_and_bad_verb(capsys):
     assert main(["--version"]) == 0
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
+

@@ -7,6 +7,8 @@ import pytest
 from edimkit.errors import NotAbelian, NotNormal, ParseError
 from edimkit.groups import (
     FiniteGroup,
+    PairBackend,
+    QuotientBackend,
     Subgroup,
     all_subgroups,
     direct_product,
@@ -165,6 +167,29 @@ def test_direct_product_embeddings_commute():
             left = a * n2
             right = b
             assert g.mult(left, right) == g.mult(right, left)
+
+
+@pytest.mark.parametrize("left, right", [("S3", "Q8"), ("D4", "C3")])
+def test_product_table_matches_pair_backend(left, right):
+    g1, g2 = named_group(left), named_group(right)
+    g = direct_product(g1, g2)
+    pair = PairBackend(g1, g2)
+    table = g.backend.table
+    assert all(table[a, b] == pair.mult(a, b)
+               for a in g.elements() for b in g.elements())
+
+
+@pytest.mark.parametrize("name", ["S3xQ8", "D4xC3", "Q8xD4"])
+def test_quotient_table_matches_quotient_backend(name):
+    g = named_group(name)
+    qm = g.quotient(g.center())
+    proj = qm.projection
+    # each coset is represented by its least element
+    reps = [min(qm.fiber(c)) for c in qm.target.elements()]
+    oracle = QuotientBackend(g, proj, reps)
+    table = qm.target.backend.table
+    assert all(table[a, b] == oracle.mult(a, b)
+               for a in qm.target.elements() for b in qm.target.elements())
 
 
 def test_subgroup_lattice_oracle_counts():

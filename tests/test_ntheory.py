@@ -22,6 +22,27 @@ def test_is_prime_brute_force():
     assert [n for n in range(1, N + 1) if is_prime(n)] == PRIMES
 
 
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to every prime base up to some bound
+    assert not is_prime(n)
+
+
+def test_is_prime_against_trial_division():
+    rng = random.Random(5)
+    samples = [rng.randrange(10 ** 6, 10 ** 10) for _ in range(300)]
+    samples += [2 ** 31 - 1, 2 ** 61 - 1, 998244353, 10 ** 9 + 7]
+    for n in samples:
+        if n < 10 ** 10:
+            expect = all(n % d for d in range(2, math.isqrt(n) + 1))
+        else:
+            expect = True  # Mersenne prime 2^61 - 1
+        assert is_prime(n) == expect, n
+
+
 def test_factorize_brute_force():
     for n in range(1, N + 1):
         fact = factorize(n)

@@ -3,16 +3,17 @@
 Factorization is by trial division: every argument is a group order, an
 element order or q - 1 for a Dixon prime.  Primality is Miller-Rabin with a
 base set that is deterministic below 3.3e24, so the certificate primes of
-`chartab` (up to 3e9) are tested in microseconds.
+`chartab` (up to 3e9) are tested in microseconds.  Above that range a witness
+still proves a number composite; one that passes every base raises
+`BackendLimit` instead of being searched for divisors.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InternalInconsistency
+from .errors import BackendLimit, InternalInconsistency
 
 
 @lru_cache(maxsize=None)
@@ -45,10 +46,6 @@ def is_prime(n: int) -> bool:
         return True
     if any(n % p == 0 for p in _MR_BASES):
         return False
-    if n >= _MR_LIMIT:
-        # beyond the deterministic range: trial division, which stops at the
-        # least divisor (a characteristic comes from user input)
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -62,7 +59,11 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
+            return False    # a witness proves n composite at any size
+    if n >= _MR_LIMIT:
+        # a characteristic comes from user input; beyond the deterministic
+        # range passing every base does not prove n prime
+        raise BackendLimit(f"primality of {n} is not decided above {_MR_LIMIT}")
     return True
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -77,6 +78,21 @@ def test_missing_group_file_exit_2(capsys):
 def test_bad_field_exit_2(capsys):
     code, doc = run(capsys, "edim", fx("q8.json"), "--field", "F5")
     assert code == 2
+
+
+@pytest.mark.parametrize("char,error", [
+    # 2^89 - 1 is prime and above the deterministic Miller-Rabin range
+    ("618970019642690137449562111", "BackendLimit"),
+    # 43^16 is above that range and has no factor below 43
+    ("136614025729312093462315201", "ParseError"),
+])
+def test_huge_characteristic_is_decided_quickly(capsys, char, error):
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "invariants", fx("s3.json"), "--field",
+                    f"algclosed:{char}")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert doc["error"] == error
 
 
 def test_mhom_homogenize(capsys, tmp_path):

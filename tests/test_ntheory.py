@@ -8,7 +8,7 @@ import pytest
 
 from edimkit.abelian import _mat_inverse_unimodular
 from edimkit.engine import conjectural_edim
-from edimkit.errors import PreconditionViolated
+from edimkit.errors import BackendLimit, PreconditionViolated
 from edimkit.fields import cyclotomic_field
 from edimkit.named import named_group
 from edimkit.ntheory import factorize, is_prime, prime_power_base, primitive_root
@@ -29,6 +29,14 @@ def test_is_prime_brute_force():
 def test_is_prime_rejects_strong_pseudoprimes(n):
     # each is a strong pseudoprime to every prime base up to some bound
     assert not is_prime(n)
+
+
+def test_is_prime_is_bounded_above_the_deterministic_range():
+    assert not is_prime(3 * 2 ** 89)        # a small factor still decides
+    assert not is_prime(43 ** 16)           # least factor above the bases
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))  # no small factor
+    with pytest.raises(BackendLimit):
+        is_prime(2 ** 89 - 1)
 
 
 def test_is_prime_against_trial_division():

@@ -2,17 +2,20 @@
 
 The class-multiplication constants give commuting integer matrices; their
 simultaneous eigenvectors over F_q (q = 1 mod exp G, q > 2 sqrt |G|) determine
-the characters mod q, which are lifted to exact cyclotomic values through
-discrete logarithms and root-of-unity multiplicity extraction.
+the characters mod q.  A discrete Fourier transform on the powers of each
+class representative g_k gives the eigenvalue multiplicities m[k][i, t] of
+g_k in chi_i, so chi_i(g_k) = sum_t m[k][i, t] zeta_ord(g_k)^t.  They lie in
+[0, deg chi_i], below q, so their residues are exact.  These non-negative
+integers are the stored table; cyclotomic values (`cyclo`) are built only
+for output, by `CharacterTable.cyclotomic_values`.
 
 Every table is certified before use, whether computed or reloaded from the
-cache, at every group order: `CharacterTable.verify_orthogonality` checks both
-orthogonality relations in int64 matrix arithmetic at every primitive e-th
-root of unity modulo primes q = 1 (mod e) whose product exceeds a bound on
-every residual; with integral coefficients this proves the relations exactly
-(the argument is in its docstring).  Cache files are keyed on the
-presentation, and a reloaded table must carry the group's own class
-representatives, class sizes and inverse classes.
+cache: `CharacterTable.verify_orthogonality` checks both orthogonality
+relations in int64 matrix arithmetic at every primitive e-th root of unity
+modulo primes q = 1 (mod e) whose product exceeds a bound on every residual,
+which proves them exactly (the argument is in its docstring).  Cache files
+are keyed on the presentation; a reloaded table that does not carry the
+group's own class data or fails the certificate is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .abelian import structure
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _expansion
 from .errors import (
     BackendLimit,
     EmptyRepClass,
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .fields import FieldDescriptor, supports_splitting
 from .groups import FiniteGroup, Subgroup
-from .ntheory import factorize, is_prime, primitive_root
+from .ntheory import is_prime, primitive_root, split_prime
 
 CLASS_LIMIT = 120
 ORDER_LIMIT = 50_000
@@ -47,18 +50,6 @@ ORDER_LIMIT = 50_000
 
 # ---------------------------------------------------------------------------
 # prime-field helpers
-
-
-def _next_dixon_prime(exp_g: int, order: int, n_classes: int) -> int:
-    # q must exceed 2*sqrt(|G|) so degrees are determined by their residues,
-    # and exceed the class count so polynomial interpolation has enough points
-    bound = max(2 * math.isqrt(order) + 1, n_classes + 1)
-    q = exp_g + 1
-    while True:
-        if q > bound and is_prime(q):
-            return q
-        q += exp_g
-    # unreachable
 
 
 def _certificate_primes(e: int, width: int, bound: int) -> list[int]:
@@ -80,20 +71,23 @@ def _certificate_primes(e: int, width: int, bound: int) -> list[int]:
     return primes
 
 
-def _root_powers(e: int, q: int, exps: np.ndarray) -> np.ndarray:
-    """Matrix w_r^t mod q: rows are the exponents t, columns the phi(e)
-    primitive e-th roots of unity w_r in F_q (q = 1 mod e)."""
-    primes = [p for p, _ in factorize(e)]
-    a = 2
-    while True:
-        z = pow(a, (q - 1) // e, q)
-        if all(pow(z, e // p, q) != 1 for p in primes):
-            break
-        a += 1
-    z_powers = np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
-    units = np.array([j for j in range(1, e + 1) if math.gcd(j, e) == 1],
-                     dtype=np.int64)
-    return z_powers[np.outer(exps, units) % e]
+def root_powers(e: int, q: int) -> np.ndarray:
+    """z^t mod q for t < e, z = g^((q-1)/e) a primitive e-th root of unity in
+    F_q (q = 1 mod e), g the least primitive root mod q."""
+    z = pow(primitive_root(q), (q - 1) // e, q)
+    return np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
+
+
+def _tensor_coeffs(e: int, mult: np.ndarray) -> dict:
+    """Integer coefficients of sum_t mult[t] zeta_e^(t e / len(mult)) in the
+    tensor basis of Q(zeta_e) that `cyclo` uses."""
+    step = e // len(mult)
+    out: dict = {}
+    for t in np.flatnonzero(mult):
+        sign, keys = _expansion(e, int(t) * step)
+        for key in keys:
+            out[key] = out.get(key, 0) + sign * int(mult[t])
+    return {key: c for key, c in out.items() if c}
 
 
 def _require_equal(got: np.ndarray, expect: np.ndarray, relation: str,
@@ -251,44 +245,66 @@ class CharacterTable:
     class_sizes: list[int]
     inverse_class: list[int]
     degrees: list[int]
-    values: list[list[Cyclotomic]]  # rows = characters, columns = classes
+    # per class k, rows x ord(g_k) eigenvalue multiplicities:
+    # chi_i(g_k) = sum_t multiplicities[k][i, t] zeta_ord(g_k)^t
+    multiplicities: list[np.ndarray]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_reps)
 
+    def values_mod(self, q: int, units: list[int]) -> np.ndarray:
+        """x[r, i, k] = chi_i(g_k) mod q under zeta_e -> z^units[r], z from
+        `root_powers` (q = 1 mod e)."""
+        e = self.conductor
+        powers = root_powers(e, q)
+        x = np.empty((len(units), self.n_classes, self.n_classes), dtype=np.int64)
+        for k, m in enumerate(self.multiplicities):
+            order = m.shape[1]
+            exps = np.outer(np.arange(order) * (e // order), units) % e
+            x[:, :, k] = ((m % q) @ powers[exps] % q).T
+        return x
+
+    def cyclotomic_values(self) -> list[list[Cyclotomic]]:
+        """The values as cyclotomic numbers (rows = characters, columns = classes)."""
+        e = self.conductor
+        return [[Cyclotomic(e, _tensor_coeffs(e, m[i])) for m in self.multiplicities]
+                for i in range(self.n_classes)]
+
     def verify_orthogonality(self) -> None:
         """Certify both orthogonality relations exactly, by arithmetic mod primes.
 
-        Every stored coefficient must be an integer.  A value is then
-        sum_t c_t zeta_e^t with integer c_t, an algebraic integer in
-        Z[zeta_e] (the tensor basis is an integral basis), and each of its
-        Galois conjugates has absolute value at most L, the largest
-        coefficient L1-norm in the table.  The class sizes must be positive
-        and sum to |G|, so n <= |G|.  Every row residual
-        sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) - delta_ij |G| and every column
-        residual sum_i chi_i(g_k) chi_i(g_l^-1) - delta_kl |G|/|C_k| is then
-        an element D of Z[zeta_e] whose conjugates are bounded by
-        B = |G| (L^2 + 1).
+        For every class k the multiplicities must form a rows x ord(g_k)
+        array of non-negative integers, ord(g_k) | e, whose rows sum to the
+        degrees.  A value sum_t m_t zeta^t is then an algebraic integer in
+        Z[zeta_e], and each of its Galois conjugates is a sum of d_i roots of
+        unity, of absolute value at most D, the largest degree.  The class
+        sizes must be positive and sum to |G|, so n <= |G|.  Every row
+        residual sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) - delta_ij |G| and
+        every column residual sum_i chi_i(g_k) chi_i(g_l^-1) - delta_kl
+        |G|/|C_k| is then an element R of Z[zeta_e] whose conjugates are
+        bounded by B = |G| (D^2 + 1).
 
         The primes q are = 1 (mod e) with product M > B.  Such q is
         unramified in Z[zeta_e] and splits into phi(e) primes, one for each
         primitive e-th root of unity w in F_q, with residue map zeta_e -> w.
         Each relation is checked as a matrix identity over F_q at every q
-        and every w.  So D lies in every prime above every q, hence in
-        q Z[zeta_e] for each q and in M Z[zeta_e].  D/M is then an algebraic
+        and every w.  So R lies in every prime above every q, hence in
+        q Z[zeta_e] for each q and in M Z[zeta_e].  R/M is then an algebraic
         integer whose conjugates all have absolute value B/M < 1; its norm
-        is a rational integer of absolute value < 1, hence 0, so D = 0.
-        Each q has n q^2 < 2^63 (and K q^2 < 2^63 for the K distinct
-        exponents in use), so no int64 product or sum below can overflow.
+        is a rational integer of absolute value < 1, hence 0, so R = 0.
+        Each q has W q^2 < 2^63, where W is at least n and every ord(g_k),
+        and the multiplicities are reduced mod q first, so no int64 product
+        or sum below can overflow.
         """
         n = self.n_classes
         order = self.group.order
         e = self.conductor
         sizes = self.class_sizes
         inv = self.inverse_class
-        if len(sizes) != n or len(inv) != n or len(self.values) != n or \
-                any(len(row) != n for row in self.values):
+        mults = self.multiplicities
+        if len(sizes) != n or len(inv) != n or len(self.degrees) != n or \
+                len(mults) != n:
             raise InternalInconsistency("table dimensions do not match the classes")
         if any(s < 1 for s in sizes) or sum(sizes) != order or \
                 any(order % s for s in sizes):
@@ -297,34 +313,23 @@ class CharacterTable:
             raise InternalInconsistency("inverse classes are not a permutation")
         if sum(d * d for d in self.degrees) != order:
             raise InternalInconsistency("degree squares do not sum to group order")
+        degrees = np.array(self.degrees)[:, None]
+        for k, m in enumerate(mults):
+            if m.shape[0] != n or m.shape[1] == 0 or e % m.shape[1]:
+                raise InternalInconsistency(f"multiplicities of class {k} have shape {m.shape}")
+            if (m < 0).any() or (m > degrees).any() or \
+                    (m.sum(axis=1) != degrees[:, 0]).any():
+                raise InternalInconsistency(
+                    f"multiplicities of class {k} do not count the degrees' eigenvalues")
 
-        cells, exps, coeffs = [], [], []
-        norm = 0
-        for i, row in enumerate(self.values):
-            for k, v in enumerate(row):
-                l1 = 0
-                for t, c in v.coeffs.items():
-                    if c.denominator != 1:
-                        raise InternalInconsistency(
-                            f"value of row {i} at class {k} is not an algebraic integer")
-                    cells.append(i * n + k)
-                    exps.append(t % e)
-                    coeffs.append(int(c))
-                    l1 += abs(c)
-                norm = max(norm, l1)
-        keys, key_idx = np.unique(np.array(exps, dtype=np.int64), return_inverse=True)
-        cells = np.array(cells, dtype=np.int64)
-        inv = np.array(inv)
+        units = [j for j in range(1, e + 1) if math.gcd(j, e) == 1]
+        width = max(n, *(m.shape[1] for m in mults))
+        big = max(self.degrees)
         sizes = np.array(sizes, dtype=np.int64)
-        centralizers = np.diag(np.array([order // s for s in self.class_sizes],
-                                        dtype=np.int64))
+        centralizers = np.diag(order // sizes)
         eye = np.eye(n, dtype=np.int64)
-        for q in _certificate_primes(e, max(n, len(keys)), order * (norm * norm + 1)):
-            coef = np.zeros((n * n, len(keys)), dtype=np.int64)
-            np.add.at(coef, (cells, key_idx), [c % q for c in coeffs])
-            # x[r] is the table mod q at the r-th primitive root of unity
-            x = (coef % q) @ _root_powers(e, q, keys) % q
-            x = x.T.reshape(-1, n, n)
+        for q in _certificate_primes(e, width, order * (big * big + 1)):
+            x = self.values_mod(q, units)  # x[r] is the table at the r-th root
             x_inv = x[:, :, inv]
             rows = (x * sizes % q) @ x_inv.transpose(0, 2, 1) % q
             _require_equal(rows, order * eye % q, "row", "rows")
@@ -337,22 +342,22 @@ class CharacterTable:
             "class_reps": self.class_reps,
             "class_sizes": self.class_sizes,
             "inverse_class": self.inverse_class,
-            "degrees": self.degrees,
-            "values": [[v.serialize() for v in row] for row in self.values],
+            "multiplicities": [m.tolist() for m in self.multiplicities],
         }
 
     @staticmethod
     def deserialize(group: FiniteGroup, data: dict) -> "CharacterTable":
-        e = data["conductor"]
-        return CharacterTable(
-            group,
-            e,
-            list(data["class_reps"]),
-            list(data["class_sizes"]),
-            list(data["inverse_class"]),
-            list(data["degrees"]),
-            [[Cyclotomic.deserialize(e, v) for v in row] for row in data["values"]],
-        )
+        """The table in data, which must be built for group's own exponent
+        and class data (raises ValueError otherwise)."""
+        known = [group.exponent(), *_class_data(group)]
+        if [data["conductor"], data["class_reps"], data["class_sizes"],
+                data["inverse_class"]] != known:
+            raise ValueError("the table was built for other class data")
+        mults = [np.array(m) for m in data["multiplicities"]]
+        if not mults or any(m.ndim != 2 or m.dtype.kind != "i" for m in mults):
+            raise ValueError("multiplicities are not integer matrices")
+        return CharacterTable(group, *known, [int(d) for d in mults[0].sum(axis=1)],
+                              mults)
 
 
 @dataclass
@@ -385,7 +390,6 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
     if use_cache:
         cached = _cache_load(g, cache_dir)
         if cached is not None:
-            cached.verify_orthogonality()
             return cached
 
     table = _dixon_schneider(g)
@@ -409,7 +413,11 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     cmap = g.class_map()
     e = g.exponent()
     order = g.order
-    q = _next_dixon_prime(e, order, n)
+    # q > 2 sqrt |G| determines degrees by their residues, q > n leaves enough
+    # interpolation points, and e q^2 < 2^63 keeps the transform in int64
+    q = split_prime(e, max(2 * math.isqrt(order) + 1, n + 1))
+    if e * q * q >= 2 ** 63:
+        raise BackendLimit(f"Dixon prime {q} is too large for int64 arithmetic")
 
     # class multiplication constants: a[i][j][k] = #{(x,y) in C_i x C_j : xy = r_k}
     a = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -422,10 +430,6 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     spaces = _full_split(a, n, q)
     if any(len(s) != 1 for s in spaces) or len(spaces) != n:
         raise InternalInconsistency("failed to split the class algebra into lines")
-
-    w0 = primitive_root(q)
-    zq = pow(w0, (q - 1) // e, q)  # fixed primitive e-th root of unity in F_q
-    dlog = {pow(zq, t, q): t for t in range(e)}
 
     rows = []
     for (vec,) in spaces:
@@ -440,42 +444,37 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
                   if (t * t) % q == d2), None)
         if d is None:
             raise InternalInconsistency("no admissible degree for eigenvector")
-        chi_mod = [(d * theta[k]) % q for k in range(n)]
-        rows.append((d, chi_mod))
+        rows.append((d, [(d * theta[k]) % q for k in range(n)]))
 
     degrees_check = sum(d * d for d, _ in rows)
     if degrees_check != order:
         raise InternalInconsistency(
             f"degree squares sum to {degrees_check}, expected {order}")
 
-    # lift values: chi(g_k) = sum_t m_t zeta_d^t with multiplicities from
-    # the discrete Fourier transform of chi on powers of g_k, all mod q
-    value_rows = []
-    power_class = _power_class_table(g, reps, cmap)
-    for d, chi_mod in rows:
-        values = []
-        for k in range(n):
-            dk = g.element_order(reps[k])
-            zdk = pow(zq, e // dk, q)
-            val = Cyclotomic.zero(e)
-            inv_dk = pow(dk, -1, q)
-            for t in range(dk):
-                acc = 0
-                for s in range(dk):
-                    acc += chi_mod[power_class[k][s]] * pow(zdk, (-s * t) % dk, q)
-                m_t = (acc * inv_dk) % q
-                if m_t:
-                    if m_t > d:
-                        raise InternalInconsistency("eigenvalue multiplicity too large")
-                    val = val + Cyclotomic.zeta_power(e, (e // dk) * t) * m_t
-            values.append(val)
-        value_rows.append((d, values))
+    # eigenvalue multiplicities: m_t = (1/d_k) sum_s chi(g_k^s) zeta^(-st),
+    # the discrete Fourier transform of chi on the powers of g_k, all mod q
+    degrees = np.array([d for d, _ in rows])
+    chi = np.array([chi_mod for _, chi_mod in rows], dtype=np.int64)
+    powers = root_powers(e, q)
+    mults = []
+    for rk in reps:
+        cyclic = [0]  # the powers of g_k
+        while (x := g.mult(cyclic[-1], rk)) != 0:
+            cyclic.append(x)
+        power_classes = [cmap[x] for x in cyclic]
+        dk = len(cyclic)
+        ts = np.arange(dk)
+        dft = powers[-np.outer(ts, ts) * (e // dk) % e]
+        m = chi[:, power_classes] @ dft % q * pow(dk, -1, q) % q
+        if (m > degrees[:, None]).any():
+            raise InternalInconsistency("eigenvalue multiplicity too large")
+        mults.append(m)
 
-    value_rows.sort(key=lambda r: (r[0], [v.sort_key() for v in r[1]]))
-    return CharacterTable(
-        g, e, reps, sizes, inv_class,
-        [d for d, _ in value_rows], [vals for _, vals in value_rows],
-    )
+    # rows by degree, then by the values' tensor-basis coefficients
+    perm = sorted(range(n), key=lambda i: (
+        degrees[i], [sorted(_tensor_coeffs(e, m[i]).items()) for m in mults]))
+    return CharacterTable(g, e, reps, sizes, inv_class,
+                          [int(degrees[i]) for i in perm], [m[perm] for m in mults])
 
 
 def _full_split(a, n, q):
@@ -506,19 +505,6 @@ def _full_split(a, n, q):
     return spaces
 
 
-def _power_class_table(g: FiniteGroup, reps, cmap):
-    out = []
-    for r in reps:
-        d = g.element_order(r)
-        row = []
-        x = 0
-        for _ in range(d):
-            row.append(cmap[x])
-            x = g.mult(x, r)
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cache
 
@@ -540,20 +526,16 @@ def _cache_path(g: FiniteGroup, cache_dir: Optional[str]) -> Path:
 
 
 def _cache_load(g: FiniteGroup, cache_dir: Optional[str]) -> Optional[CharacterTable]:
-    """The cached table of g, or None when absent, unreadable or built for
-    other class data than g's own."""
+    """The cached table of g, or None when absent, unreadable, built for
+    other class data than g's own, or failing the certificate."""
     path = _cache_path(g, cache_dir)
     if not path.exists():
         return None
     try:
         with open(path) as fh:
-            data = json.load(fh)
-        table = CharacterTable.deserialize(g, data)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-    reps, sizes, inv_class = _class_data(g)
-    if (table.class_reps, table.class_sizes, table.inverse_class) != \
-            (reps, sizes, inv_class):
+            table = CharacterTable.deserialize(g, json.load(fh))
+        table.verify_orthogonality()
+    except (OSError, ValueError, KeyError, TypeError, InternalInconsistency):
         return None
     return table
 
@@ -576,19 +558,26 @@ def _cache_store(g: FiniteGroup, table: CharacterTable,
 
 
 def kernel(table: CharacterTable, row: int) -> Subgroup:
-    """Elements where the character attains its degree; always a normal subgroup."""
+    """Elements where the character attains its degree; always a normal subgroup.
+
+    chi(g) = d exactly when all d eigenvalues of g are 1 (a sum of d roots of
+    unity has absolute value d only if they are equal).
+    """
     g = table.group
     cmap = g.class_map()
-    deg = Cyclotomic.from_rational(table.conductor, table.degrees[row])
-    elems = frozenset(
-        x for x in g.elements() if table.values[row][cmap[x]] == deg
-    )
-    return Subgroup(g, elems, normal=True)
+    d = table.degrees[row]
+    inside = [m[row, 0] == d for m in table.multiplicities]
+    return Subgroup(g, frozenset(x for x in g.elements() if inside[cmap[x]]),
+                    normal=True)
 
 
 def central_character(table: CharacterTable, row: int,
                       c: Subgroup) -> CentralCharacter:
-    """Root-of-unity scalar by which each element of a central subgroup acts."""
+    """Root-of-unity scalar by which each element of a central subgroup acts.
+
+    z acts as the scalar zeta^t exactly when all d eigenvalues of z are
+    zeta^t, i.e. when the multiplicity of zeta^t is d.
+    """
     if not c.is_central():
         raise NotCentral("central character requires a central subgroup")
     g = table.group
@@ -597,16 +586,11 @@ def central_character(table: CharacterTable, row: int,
     e = table.conductor
     values = {}
     for z in sorted(c.elements):
-        v = table.values[row][cmap[z]]
-        # v must equal d * zeta^t for some t
-        expo = None
-        for t in range(e):
-            if v == Cyclotomic.zeta_power(e, t) * d:
-                expo = t
-                break
-        if expo is None:
+        m = table.multiplicities[cmap[z]][row]
+        scalar = np.flatnonzero(m == d)
+        if not len(scalar):
             raise NonScalar(f"central element {z} does not act as a scalar on row {row}")
-        values[z] = expo
+        values[z] = int(scalar[0]) * (e // len(m))
     return CentralCharacter(c, e, values)
 
 

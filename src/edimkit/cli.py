@@ -100,7 +100,8 @@ def cmd_chartab(args) -> dict:
         "class_sizes": table.class_sizes,
     }
     if args.full:
-        out["values"] = [[v.serialize() for v in row] for row in table.values]
+        out["values"] = [[v.serialize() for v in row]
+                         for row in table.cyclotomic_values()]
     return out
 
 

@@ -259,6 +259,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     rk_z = k_center_rank(g, f)
 
     # R4: identity covariant of a minimal faithful representation
+    w = None
     if is_semi_faithful(g, f):
         if supports_splitting(g, f):
             try:
@@ -283,14 +284,15 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
                                 f"doubly transitive on {deg} points, one "
                                 f"component, scalar-center rank {rk_z}")
 
-    # R5: exactness for central prime-power socle with gcd=min degrees
+    # R5: exactness for central prime-power socle with gcd=min degrees.
+    # Splitting implies semi-faithfulness, so R4 has run rdim, by path A
+    # (central prime-power socle), which has no search budget: w is its witness
     if supports_splitting(g, f):
         soc = g.socle()
         p = prime_power_base(soc.order)
         if p is not None and soc.is_central() and has_primitive_root(f, p):
             table = character_table(g)
             if gcd_min_condition(table, f, soc):
-                w = rdim(g, f)
                 b.tighten_lower(w.value, "R5", CITE["R5"],
                                 f"socle central {p}-group, gcd=min, "
                                 f"rdim = {w.value}")

@@ -1,4 +1,5 @@
-"""Elementary number theory: primality, factorization, prime powers, primitive roots.
+"""Elementary number theory: primality, factorization, prime powers, primitive
+roots and primes that split in cyclotomic fields.
 
 Factorization is by trial division: every argument is a group order, an
 element order or q - 1 for a Dixon prime.  Primality is Miller-Rabin with a
@@ -73,6 +74,14 @@ def prime_power_base(n: int) -> Optional[int]:
         return None
     fact = factorize(n)
     return fact[0][0] if len(fact) == 1 else None
+
+
+def split_prime(e: int, bound: int) -> int:
+    """Least prime q = 1 (mod e) with q > bound, so F_q holds the e-th roots of unity."""
+    q = bound + 1 + (-bound) % e
+    while not is_prime(q):
+        q += e
+    return q
 
 
 def primitive_root(q: int) -> int:

@@ -12,8 +12,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from .abelian import (
     AbelianStructure,
@@ -23,7 +24,7 @@ from .abelian import (
     structure,
     submodule_span,
 )
-from .chartab import CharacterTable, Cyclotomic, character_table, kernel
+from .chartab import CharacterTable, character_table, kernel, root_powers
 from .errors import (
     HypothesisFailed,
     InternalInconsistency,
@@ -40,7 +41,7 @@ from .fields import (
     supports_splitting,
 )
 from .groups import FiniteGroup, Subgroup, all_subgroups
-from .ntheory import prime_power_base
+from .ntheory import prime_power_base, split_prime
 
 PATH_C_BUDGET = 10_000_000
 ORACLE_ROW_LIMIT = 40
@@ -108,34 +109,39 @@ class RestrictionData:
 
 
 def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
+    """Which characters lambda of a appear in which rows.
+
+    The multiplicity (1/|a|) sum_x chi(x) lambda(x^-1) of lambda in a row is
+    a rational integer in [0, deg chi].  It is computed mod a prime q = 1
+    (mod e) above every degree, at one primitive e-th root of unity, as a
+    matrix product.  Every prime dividing |a| divides e, so q does not, and
+    the residue is 0 exactly when the multiplicity is.
+    """
     g = table.group
     st = structure(a)
     e = table.conductor
     cmap = g.class_map()
     elems = sorted(a.elements)
-    inv_n = Fraction(1, len(elems))
-    # precompute conj(chi(a)) exponents for each character tuple and element
     char_tuples = list(itertools.product(*[range(d) for d in st.divisors]))
-    elem_vecs = {x: st.to_vector(x) for x in elems}
+    r = len(st.divisors)
+    vectors = np.array([st.to_vector(x) for x in elems],
+                       dtype=np.int64).reshape(len(elems), r)
+    chars = np.array(char_tuples, dtype=np.int64).reshape(len(char_tuples), r)
+    steps = np.array([e // d for d in st.divisors], dtype=np.int64)
+    # lambda_c(x) = zeta_e^(sum_j c_j x_j e/d_j)
+    exps = (vectors * steps) @ chars.T % e
+    q = split_prime(e, max(table.degrees))
+    values = table.values_mod(q, [1])[0][:, [cmap[x] for x in elems]]
+    present = values @ root_powers(e, q)[-exps % e] % q != 0
     row_chars = []
     f_min: dict = {}
     for row in range(table.n_classes):
-        vals = {x: table.values[row][cmap[x]] for x in elems}
-        present = set()
-        for ct in char_tuples:
-            acc = Cyclotomic.zero(e)
-            for x in elems:
-                t = sum(c * v * (e // d)
-                        for c, v, d in zip(ct, elem_vecs[x], st.divisors)) % e \
-                    if st.divisors else 0
-                acc = acc + vals[x] * Cyclotomic.zeta_power(e, (-t) % e)
-            mult = acc.scale(inv_n)
-            if not mult.is_zero():
-                present.add(ct)
-                deg = table.degrees[row]
-                if ct not in f_min or (deg, row) < f_min[ct]:
-                    f_min[ct] = (deg, row)
-        row_chars.append(frozenset(present))
+        deg = table.degrees[row]
+        found = [ct for ct, p in zip(char_tuples, present[row]) if p]
+        for ct in found:
+            if ct not in f_min or (deg, row) < f_min[ct]:
+                f_min[ct] = (deg, row)
+        row_chars.append(frozenset(found))
     return RestrictionData(table, a, st, row_chars, f_min)
 
 
@@ -386,9 +392,13 @@ def check_transfer_hypotheses(g: FiniteGroup, h: Subgroup,
     comm = g.commutator_subgroup()
     if (h.elements & comm.elements) != frozenset([0]):
         raise HypothesisFailed("H intersects the commutator subgroup trivially")
-    qm = g.quotient(comm)
-    image = frozenset(qm.projection[x] for x in h.elements)
-    exp_factor = _direct_factor_exponent(qm.target, image)
+    if comm.order == 1:
+        # g is abelian: it is its own abelianization
+        gab, image = g, h.elements
+    else:
+        qm = g.quotient(comm)
+        gab, image = qm.target, frozenset(qm.projection[x] for x in h.elements)
+    exp_factor = _direct_factor_exponent(gab, image)
     if not has_primitive_root(f, exp_factor):
         raise HypothesisFailed(
             f"k contains a primitive root of unity of order {exp_factor}")

@@ -105,17 +105,6 @@ def smith_normal_form(mat: list[list[int]]):
     return d, p, q
 
 
-def elementary_divisors(mat: list[list[int]]) -> list[int]:
-    """Nontrivial diagonal entries (> 1) of the Smith form, in divisor order."""
-    d, _, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        v = d[i][i]
-        if v > 1:
-            out.append(v)
-    return out
-
-
 def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q: (nonzero rows, their pivot columns)."""
     rows = [[Fraction(x) for x in row] for row in mat]

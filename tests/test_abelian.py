@@ -21,7 +21,7 @@ from edimkit.abelian import (
 from edimkit.errors import PreconditionViolated
 from edimkit.groups import Subgroup, direct_product
 from edimkit.named import corpus, cyclic, dihedral, named_group
-from edimkit.snf import elementary_divisors, mat_mul, smith_normal_form
+from edimkit.snf import mat_mul, smith_normal_form
 
 
 def whole(g):

@@ -4,8 +4,8 @@ import copy
 import json
 import math
 import os
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import edimkit
@@ -71,13 +71,13 @@ def test_orthogonality_a5_s5():
 def test_row_orthogonality_by_hand():
     g = named_group("S3")
     t = character_table(g, use_cache=False)
-    cmap = g.class_map()
+    values = t.cyclotomic_values()
     for i in range(3):
         for j in range(3):
             acc = Cyclotomic.zero(t.conductor)
             for k in range(3):
-                acc = acc + t.values[i][k] * \
-                    t.values[j][t.inverse_class[k]].scale(t.class_sizes[k])
+                acc = acc + values[i][k] * \
+                    values[j][t.inverse_class[k]].scale(t.class_sizes[k])
             expected = g.order if i == j else 0
             assert acc == expected
 
@@ -112,6 +112,21 @@ def test_central_characters_q8():
     for chi in chars:
         degs = rep_chi_degrees(t, z, chi)
         assert degs in ([1, 1, 1, 1], [2])
+
+
+@pytest.mark.parametrize("fixture", SMALL_FIXTURES)
+def test_kernels_and_central_characters_agree_with_values(fixture):
+    # reference: compare cyclotomic values with d and with d zeta^s
+    g = load_group(os.path.join(FIXTURES, fixture))
+    t = character_table(g, use_cache=False)
+    values, cmap, e, z = t.cyclotomic_values(), g.class_map(), t.conductor, g.center()
+    for i, d in enumerate(t.degrees):
+        assert kernel(t, i).elements == \
+            {x for x in g.elements() if values[i][cmap[x]] == d}
+        assert central_character(t, i, z).values == {
+            x: next(s for s in range(e)
+                    if values[i][cmap[x]] == Cyclotomic.zeta_power(e, s) * d)
+            for x in z.elements}
 
 
 def test_central_character_requires_central():
@@ -162,8 +177,8 @@ def test_cache_round_trip(tmp_path):
     t2 = character_table(g, cache_dir=str(tmp_path))
     assert t2.degrees == t1.degrees
     assert t2.conductor == t1.conductor
-    for r1, r2 in zip(t1.values, t2.values):
-        assert r1 == r2
+    for m1, m2 in zip(t1.multiplicities, t2.multiplicities):
+        assert np.array_equal(m1, m2)
 
 
 def test_serialize_round_trip():
@@ -172,7 +187,7 @@ def test_serialize_round_trip():
     data = t.serialize()
     t2 = CharacterTable.deserialize(g, data)
     assert t2.degrees == t.degrees
-    assert t2.values == t.values
+    assert t2.cyclotomic_values() == t.cyclotomic_values()
 
 
 def test_determinism():
@@ -190,11 +205,12 @@ def fraction_orthogonality(t: CharacterTable) -> bool:
     """Both orthogonality relations in exact Fraction-coefficient arithmetic
     (the verifier's reference), plus the degree-square sum."""
     n, order = t.n_classes, t.group.order
+    values = t.cyclotomic_values()
     for i in range(n):
         for j in range(i, n):
             acc = Cyclotomic.zero(t.conductor)
             for k in range(n):
-                acc = acc + t.values[i][k] * t.values[j][t.inverse_class[k]] \
+                acc = acc + values[i][k] * values[j][t.inverse_class[k]] \
                     * t.class_sizes[k]
             if acc != Cyclotomic.from_rational(t.conductor, order if i == j else 0):
                 return False
@@ -202,7 +218,7 @@ def fraction_orthogonality(t: CharacterTable) -> bool:
         for l in range(k, n):
             acc = Cyclotomic.zero(t.conductor)
             for i in range(n):
-                acc = acc + t.values[i][k] * t.values[i][t.inverse_class[l]]
+                acc = acc + values[i][k] * values[i][t.inverse_class[l]]
             expect = order // t.class_sizes[k] if k == l else 0
             if acc != Cyclotomic.from_rational(t.conductor, expect):
                 return False
@@ -218,13 +234,21 @@ def verifier_accepts(t: CharacterTable) -> bool:
 
 
 def twist_by_zeta(t):
-    # the last row is non-linear or non-trivial; class 1 is not the identity
-    t.values[-1][1] = t.values[-1][1] * Cyclotomic.zeta_power(t.conductor, 1)
+    # the last row is non-linear or non-trivial; class 1 is not the identity:
+    # shifting its eigenvalue multiplicities multiplies the value by zeta
+    m = t.multiplicities[1]
+    m[-1] = np.roll(m[-1], 1)
 
 
-def halve_a_coefficient(t):
-    v = t.values[-1][1]
-    t.values[-1][1] = v + Fraction(1, 2)
+def negative_multiplicity(t):
+    # one eigenvalue count drops below 0; the row still sums to the degree
+    m = t.multiplicities[1]
+    m[-1, 1] += m[-1, 0] + 1
+    m[-1, 0] = -1
+
+
+def extra_eigenvalue(t):
+    t.multiplicities[1][-1, 0] += 1
 
 
 def wrong_inverse_class(t):
@@ -248,13 +272,13 @@ def wrong_class_size(t):
     t.class_sizes[-1] += 1
 
 
-CORRUPTIONS = [twist_by_zeta, halve_a_coefficient, wrong_inverse_class,
-               swap_class_sizes, wrong_class_size]
+CORRUPTIONS = [twist_by_zeta, negative_multiplicity, extra_eigenvalue,
+               wrong_inverse_class, swap_class_sizes, wrong_class_size]
 
 
 def _corrupted(t, corrupt):
     bad = copy.copy(t)
-    bad.values = [list(row) for row in t.values]
+    bad.multiplicities = [m.copy() for m in t.multiplicities]
     bad.inverse_class = list(t.inverse_class)
     bad.class_sizes = list(t.class_sizes)
     corrupt(bad)
@@ -267,6 +291,37 @@ def test_verifier_rejects_corrupted_table(name, corrupt):
     t = character_table(named_group(name), use_cache=False)
     with pytest.raises(InternalInconsistency):
         _corrupted(t, corrupt).verify_orthogonality()
+
+
+def cancelling_negative(t):
+    # zeta^a + zeta^(a+h) = 0 for h = ord/2: one count moves from the pair
+    # (b, b+h) to the pair (a, a+h), where count b was 0
+    k = next(k for k, m in enumerate(t.multiplicities)
+             if m.shape[1] >= 4 and m.shape[1] % 2 == 0)
+    row = t.multiplicities[k][-1]
+    h = len(row) // 2
+    b = next(b for b in range(len(row)) if row[b] == 0)
+    a = (b + 1) % len(row)
+    row[[a, (a + h) % len(row)]] += 1
+    row[[b, (b + h) % len(row)]] -= 1
+
+
+def every_root_added(t):
+    # the ord(g_1) roots of unity sum to 0: one more of each eigenvalue
+    t.multiplicities[1][-1] += 1
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("S4", cancelling_negative), ("Q8xC3", cancelling_negative),
+    ("S4", every_root_added), ("Heis3", every_root_added),
+])
+def test_verifier_rejects_counts_that_keep_the_values(name, corrupt):
+    # the values stay orthogonal, so only the count checks can reject these
+    t = character_table(named_group(name), use_cache=False)
+    bad = _corrupted(t, corrupt)
+    assert bad.cyclotomic_values() == t.cyclotomic_values()
+    with pytest.raises(InternalInconsistency):
+        bad.verify_orthogonality()
 
 
 @pytest.mark.parametrize("fixture", SMALL_FIXTURES)
@@ -345,10 +400,57 @@ def test_reload_rejects_other_class_data(tmp_path):
     assert json.loads(path.read_text()) == t.serialize()
 
 
+def test_reload_takes_the_groups_class_data(tmp_path):
+    # equal in value is not equal in output: 3.0 would print as 3.0
+    g = named_group("S4")
+    t = character_table(g, use_cache=False)
+    data = t.serialize()
+    data["class_sizes"] = [float(s) for s in data["class_sizes"]]
+    _cache_path(g, str(tmp_path)).write_text(json.dumps(data))
+    t2 = character_table(g, cache_dir=str(tmp_path))
+    assert json.dumps(t2.serialize()) == json.dumps(t.serialize())
+
+
 def test_reloaded_table_is_verified(tmp_path):
+    # a file with the group's class data that fails the certificate is a
+    # cache miss: the table is recomputed and the file rewritten
     g = named_group("S4")
     t = character_table(g, cache_dir=str(tmp_path))
     bad = _corrupted(t, twist_by_zeta)
-    _cache_path(g, str(tmp_path)).write_text(json.dumps(bad.serialize()))
-    with pytest.raises(InternalInconsistency):
-        character_table(g, cache_dir=str(tmp_path))
+    path = _cache_path(g, str(tmp_path))
+    path.write_text(json.dumps(bad.serialize()))
+    t2 = character_table(g, cache_dir=str(tmp_path))
+    assert t2.serialize() == character_table(g, use_cache=False).serialize()
+    assert json.loads(path.read_text()) == t2.serialize()
+
+
+def cyclotomic_layout(data, t):
+    # the former file layout: degrees and fraction-coefficient values
+    del data["multiplicities"]
+    data["degrees"] = t.degrees
+    data["values"] = [[v.serialize() for v in row] for row in t.cyclotomic_values()]
+
+
+def negative_in_file(data, t):
+    row = data["multiplicities"][1][-1]
+    row[1] += row[0] + 1
+    row[0] = -1
+
+
+def fraction_in_file(data, t):
+    row = data["multiplicities"][1][-1]
+    row[0] += 0.5
+    row[1] -= 0.5
+
+
+@pytest.mark.parametrize("damage", [cyclotomic_layout, negative_in_file,
+                                    fraction_in_file], ids=lambda f: f.__name__)
+def test_unusable_cache_file_is_rewritten(tmp_path, damage):
+    g = named_group("S4")
+    t = character_table(g, use_cache=False)
+    data = t.serialize()
+    damage(data, t)
+    path = _cache_path(g, str(tmp_path))
+    path.write_text(json.dumps(data))
+    assert character_table(g, cache_dir=str(tmp_path)).serialize() == t.serialize()
+    assert json.loads(path.read_text()) == t.serialize()

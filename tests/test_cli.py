@@ -210,3 +210,107 @@ def test_version_and_bad_verb(capsys):
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
 
+
+
+# exact stdout, byte for byte: it changes if the row order or the conversion of
+# the tables to tensor-basis coefficients drifts
+GOLDEN = [
+    (["chartab", "q8.json", "--full", "--no-cache"], (
+        '{"class_sizes":[1,2,1,2,2],"conductor":4,"degrees":[1,1,1,1,2],"'
+        'n_classes":5,"order":8,"values":[[{"0":"1/1"},{"0":"-1/1"},{"0":'
+        '"1/1"},{"0":"-1/1"},{"0":"1/1"}],[{"0":"1/1"},{"0":"-1/1"},{"0":'
+        '"1/1"},{"0":"1/1"},{"0":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"'
+        '1/1"},{"0":"-1/1"},{"0":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"'
+        '1/1"},{"0":"1/1"},{"0":"1/1"}],[{"0":"2/1"},{},{"0":"-2/1"},{},{'
+        '}]]}')),
+    (["chartab", "heis3.json", "--full", "--no-cache"], (
+        '{"class_sizes":[1,1,1,3,3,3,3,3,3,3,3],"conductor":3,"degrees":['
+        '1,1,1,1,1,1,1,1,1,3,3],"n_classes":11,"order":27,"values":[[{"0"'
+        ':"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1","1":"-1/1"},{"1":"1/'
+        '1"},{"0":"-1/1","1":"-1/1"},{"1":"1/1"},{"0":"1/1"},{"1":"1/1"},'
+        '{"0":"1/1"},{"0":"-1/1","1":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"'
+        '0":"1/1"},{"0":"-1/1","1":"-1/1"},{"1":"1/1"},{"0":"1/1"},{"0":"'
+        '-1/1","1":"-1/1"},{"1":"1/1"},{"0":"1/1"},{"0":"-1/1","1":"-1/1"'
+        '},{"1":"1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1",'
+        '"1":"-1/1"},{"1":"1/1"},{"1":"1/1"},{"0":"1/1"},{"0":"-1/1","1":'
+        '"-1/1"},{"0":"-1/1","1":"-1/1"},{"1":"1/1"},{"0":"1/1"}],[{"0":"'
+        '1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1'
+        '","1":"-1/1"},{"0":"-1/1","1":"-1/1"},{"0":"-1/1","1":"-1/1"},{"'
+        '1":"1/1"},{"1":"1/1"},{"1":"1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0"'
+        ':"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/'
+        '1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"}],[{"0":"1/1"},{"0":"1/1"'
+        '},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"1":"1/1"},{"1":"1/1"},{"'
+        '1":"1/1"},{"0":"-1/1","1":"-1/1"},{"0":"-1/1","1":"-1/1"},{"0":"'
+        '-1/1","1":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"1":"1/'
+        '1"},{"0":"-1/1","1":"-1/1"},{"0":"-1/1","1":"-1/1"},{"0":"1/1"},'
+        '{"1":"1/1"},{"1":"1/1"},{"0":"-1/1","1":"-1/1"},{"0":"1/1"}],[{"'
+        '0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"1":"1/1"},{"0":"-1/1","1":"-'
+        '1/1"},{"0":"1/1"},{"1":"1/1"},{"0":"-1/1","1":"-1/1"},{"0":"1/1"'
+        '},{"1":"1/1"},{"0":"-1/1","1":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},'
+        '{"0":"1/1"},{"1":"1/1"},{"0":"-1/1","1":"-1/1"},{"1":"1/1"},{"0"'
+        ':"-1/1","1":"-1/1"},{"0":"1/1"},{"0":"-1/1","1":"-1/1"},{"0":"1/'
+        '1"},{"1":"1/1"}],[{"0":"3/1"},{"0":"-3/1","1":"-3/1"},{"1":"3/1"'
+        '},{},{},{},{},{},{},{},{}],[{"0":"3/1"},{"1":"3/1"},{"0":"-3/1",'
+        '"1":"-3/1"},{},{},{},{},{},{},{},{}]]}')),
+    (["chartab", "q8xc3.json", "--full", "--no-cache"], (
+        '{"class_sizes":[1,1,1,2,2,2,1,1,1,2,2,2,2,2,2],"conductor":12,"d'
+        'egrees":[1,1,1,1,1,1,1,1,1,1,1,1,2,2,2],"n_classes":15,"order":2'
+        '4,"values":[[{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"},{"0'
+        '":"-1/1"},{"0":"1/1","4":"1/1"},{"4":"-1/1"},{"0":"1/1"},{"0":"-'
+        '1/1","4":"-1/1"},{"4":"1/1"},{"0":"-1/1"},{"0":"1/1","4":"1/1"},'
+        '{"4":"-1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"}],[{'
+        '"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"},{"0":"-1/1"},{"0"'
+        ':"1/1","4":"1/1"},{"4":"-1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1/1'
+        '"},{"4":"1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"},{'
+        '"0":"-1/1"},{"0":"1/1","4":"1/1"},{"4":"-1/1"}],[{"0":"1/1"},{"0'
+        '":"-1/1","4":"-1/1"},{"4":"1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1'
+        '/1"},{"4":"1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"}'
+        ',{"0":"-1/1"},{"0":"1/1","4":"1/1"},{"4":"-1/1"},{"0":"-1/1"},{"'
+        '0":"1/1","4":"1/1"},{"4":"-1/1"}],[{"0":"1/1"},{"0":"-1/1","4":"'
+        '-1/1"},{"4":"1/1"},{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1'
+        '"},{"0":"1/1"},{"0":"-1/1","4":"-1/1"},{"4":"1/1"},{"0":"1/1"},{'
+        '"0":"-1/1","4":"-1/1"},{"4":"1/1"},{"0":"1/1"},{"0":"-1/1","4":"'
+        '-1/1"},{"4":"1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-'
+        '1/1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/'
+        '1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1'
+        '"},{"0":"1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1"'
+        '},{"0":"-1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},'
+        '{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1"},{"0":"-1/1"},{"'
+        '0":"-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0'
+        '":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-'
+        '1/1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"-1/1"},{"0":"'
+        '-1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1'
+        '/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"}'
+        ',{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"}],[{'
+        '"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"-1/1"},{"4"'
+        ':"-1/1"},{"0":"1/1","4":"1/1"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/'
+        '1","4":"-1/1"},{"0":"-1/1"},{"4":"-1/1"},{"0":"1/1","4":"1/1"},{'
+        '"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"}],[{"0":"1/1"},{"4'
+        '":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"-1/1"},{"4":"-1/1"},{"0":'
+        '"1/1","4":"1/1"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"}'
+        ',{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"-1/1"},{"'
+        '4":"-1/1"},{"0":"1/1","4":"1/1"}],[{"0":"1/1"},{"4":"1/1"},{"0":'
+        '"-1/1","4":"-1/1"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1'
+        '"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"-1/1"},'
+        '{"4":"-1/1"},{"0":"1/1","4":"1/1"},{"0":"-1/1"},{"4":"-1/1"},{"0'
+        '":"1/1","4":"1/1"}],[{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1'
+        '/1"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"1/1"}'
+        ',{"4":"1/1"},{"0":"-1/1","4":"-1/1"},{"0":"1/1"},{"4":"1/1"},{"0'
+        '":"-1/1","4":"-1/1"},{"0":"1/1"},{"4":"1/1"},{"0":"-1/1","4":"-1'
+        '/1"}],[{"0":"2/1"},{"0":"-2/1","4":"-2/1"},{"4":"2/1"},{},{},{},'
+        '{"0":"-2/1"},{"0":"2/1","4":"2/1"},{"4":"-2/1"},{},{},{},{},{},{'
+        '}],[{"0":"2/1"},{"0":"2/1"},{"0":"2/1"},{},{},{},{"0":"-2/1"},{"'
+        '0":"-2/1"},{"0":"-2/1"},{},{},{},{},{},{}],[{"0":"2/1"},{"4":"2/'
+        '1"},{"0":"-2/1","4":"-2/1"},{},{},{},{"0":"-2/1"},{"4":"-2/1"},{'
+        '"0":"2/1","4":"2/1"},{},{},{},{},{},{}]]}')),
+    (["rdim", "q8xc3.json", "--field", "Q(zeta_12)"], (
+        '{"component_rows":[12],"dimension_vector":[2],"path":"B","value"'
+        ':2}')),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN,
+                         ids=[f"{argv[0]}-{argv[1]}" for argv, _ in GOLDEN])
+def test_golden_output(capsys, argv, expected):
+    assert main([argv[0], fx(argv[1]), *argv[2:]]) == 0
+    assert capsys.readouterr().out == expected + "\n"

@@ -47,3 +47,15 @@ def test_checker_flags_an_unused_import(tmp_path):
     mod.write_text("import math\nimport os\nfrom typing import Optional\n"
                    "x: 'Optional[int]' = os.sep\n")
     assert unused_imports(mod) == ["m.py:1: math"]
+
+
+@pytest.mark.parametrize("name", ["chartab.py", "repdim.py"])
+def test_tables_use_no_fractions(name):
+    # character tables are integer multiplicities; cyclotomic values with
+    # fraction coefficients are built only for output
+    tree = ast.parse((SRC / name).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules

@@ -1,17 +1,22 @@
 """Minimal faithful representations: component counts, rdim paths, transfer."""
 
+import itertools
+
 import pytest
 
 from edimkit.chartab import character_table
+from edimkit.cyclo import Cyclotomic
+from edimkit.abelian import structure
 from edimkit.errors import HypothesisFailed, NotSemiFaithful, OutOfScope
 from edimkit.fields import (
     algebraically_closed,
     cyclotomic_field,
     rationals,
 )
-from edimkit.groups import Subgroup, direct_product
+from edimkit.groups import FiniteGroup, Subgroup, direct_product
 from edimkit.named import corpus, named_group
 from edimkit.repdim import (
+    _direct_factor_exponent,
     central_ext_rdim,
     check_transfer_hypotheses,
     min_components,
@@ -140,6 +145,35 @@ def test_restriction_data_q8():
     assert rd.f((0,)) == 1
 
 
+def cyclotomic_restriction(table, a):
+    """Reference: rows containing each character of a, by cyclotomic sums."""
+    st = structure(a)
+    e, cmap = table.conductor, table.group.class_map()
+    values = table.cyclotomic_values()
+    out = []
+    for row in values:
+        found = set()
+        for ct in itertools.product(*[range(d) for d in st.divisors]):
+            acc = Cyclotomic.zero(e)
+            for x in a.elements:
+                t = sum(c * v * (e // d) for c, v, d in
+                        zip(ct, st.to_vector(x), st.divisors))
+                acc = acc + row[cmap[x]] * Cyclotomic.zeta_power(e, -t % e)
+            if not acc.is_zero():
+                found.add(ct)
+        out.append(frozenset(found))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_restriction_data_agrees_with_values(name):
+    g = corpus()[name]
+    t = character_table(g, use_cache=False)
+    soc = g.socle()
+    for a in [g.center()] + ([soc] if soc.is_abelian() else []):
+        assert restriction_data(t, a).row_chars == cyclotomic_restriction(t, a)
+
+
 def test_transfer_identity_c4():
     g = named_group("C4")
     h = Subgroup(g, frozenset([0, 2]), normal=True)
@@ -175,6 +209,39 @@ def test_transfer_hypothesis_failures():
     with pytest.raises(HypothesisFailed):
         # the center of Q8 meets the commutator subgroup
         check_transfer_hypotheses(q8, z, cyclotomic_field(4))
+
+
+def _factor_exponent_through_quotient(g, h):
+    qm = g.quotient(g.commutator_subgroup())
+    return _direct_factor_exponent(qm.target,
+                                   frozenset(qm.projection[x] for x in h.elements))
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_transfer_exponent_matches_the_abelianization(name):
+    g = corpus()[name]
+    comm = g.commutator_subgroup().elements
+    for z in sorted(g.center().elements):
+        h = Subgroup(g, g.subgroup_closure([z]), normal=True)
+        if h.elements & comm == frozenset([0]):
+            assert check_transfer_hypotheses(g, h, KBAR) == \
+                _factor_exponent_through_quotient(g, h)
+
+
+def test_transfer_of_abelian_group_builds_no_quotient(monkeypatch):
+    calls = []
+    quotient = FiniteGroup.quotient
+
+    def counting(self, n):
+        calls.append(n)
+        return quotient(self, n)
+
+    monkeypatch.setattr(FiniteGroup, "quotient", counting)
+    g = named_group("C2xC4")
+    assert g.is_abelian()
+    h = Subgroup(g, frozenset(g.elements()), normal=True)
+    assert check_transfer_hypotheses(g, h, cyclotomic_field(4)) == 4
+    assert calls == []
 
 
 def test_trivial_group_rdim():

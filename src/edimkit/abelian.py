@@ -20,21 +20,10 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup
 from .ntheory import factorize
-from .snf import rational_rref, smith_normal_form
+from .snf import smith_normal_form
 
 RANK_ZG_CAP = 512
 TUPLE_BUDGET = 1 << 22
-
-
-def _mat_inverse_unimodular(q: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(q)
-    rows, pivots = rational_rref(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(q)])
-    out = [row[n:] for row in rows]
-    if pivots != list(range(n)) or any(x.denominator != 1 for row in out for x in row):
-        raise PreconditionViolated("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
@@ -43,7 +32,7 @@ def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
     cols = len(mat[0]) if rows else 0
     if cols == 0:
         return []
-    d, _, q = smith_normal_form(mat)
+    d, _, q, _ = smith_normal_form(mat)
     rank = 0
     for i in range(min(rows, cols)):
         if d[i][i] != 0:
@@ -109,8 +98,7 @@ def structure(a: Subgroup) -> AbelianStructure:
             x = p.mult(x, p.power(g, vi))
         if x == 0 and any(v):
             relations.append(list(v))
-    d, _, q = smith_normal_form(relations)
-    qinv = _mat_inverse_unimodular(q)
+    d, _, _, qinv = smith_normal_form(relations)
     # new generator j = sum_i qinv[j][i] * gens0[i]; order = d[j][j]
     divisors = []
     new_gens = []
@@ -385,10 +373,9 @@ def _coprime_relation(a: AbelianStructure, elems: list[int]) -> list[int]:
     basis = [row for row in basis if any(row)]
     if not basis:
         raise PreconditionViolated("no relation among the given elements")
-    d, _, q = smith_normal_form(basis)
+    d, _, _, qinv = smith_normal_form(basis)
     if d[0][0] != 1:
         raise PreconditionViolated("rank of generated subgroup is not below tuple size")
-    qinv = _mat_inverse_unimodular(q)
     vec = qinv[0]
     if math.gcd(*vec) != 1:
         raise PreconditionViolated("relation vector not coprime")

@@ -2,12 +2,18 @@
 
 The class-multiplication constants give commuting integer matrices; their
 simultaneous eigenvectors over F_q (q = 1 mod exp G, q > 2 sqrt |G|) determine
-the characters mod q.  A discrete Fourier transform on the powers of each
-class representative g_k gives the eigenvalue multiplicities m[k][i, t] of
-g_k in chi_i, so chi_i(g_k) = sum_t m[k][i, t] zeta_ord(g_k)^t.  They lie in
-[0, deg chi_i], below q, so their residues are exact.  These non-negative
-integers are the stored table; cyclotomic values (`cyclo`) are built only
-for output, by `CharacterTable.cyclotomic_values`.
+the characters mod q.  The constants are counted with one `np.bincount` per
+class representative r_k, over the column u -> u r_k.  The split runs on int64
+arrays with the modular row reduction, kernels and eigenvalues of `snf`: each
+subspace is kept in reduced row echelon form, so the coordinates of an image
+are its entries at the pivot columns and closure under a class matrix is one
+array identity; each eigenvalue of the coordinate matrix cuts out a smaller
+subspace, until all are lines.  A discrete Fourier transform on the powers of
+each class representative g_k gives the eigenvalue multiplicities m[k][i, t]
+of g_k in chi_i, so chi_i(g_k) = sum_t m[k][i, t] zeta_ord(g_k)^t.  They lie
+in [0, deg chi_i], below q, so their residues are exact.  These non-negative
+integers are the stored table; cyclotomic values (`cyclo`) are built only for
+output, by `CharacterTable.cyclotomic_values`.
 
 Every table is certified before use, whether computed or reloaded from the
 cache: `CharacterTable.verify_orthogonality` checks both orthogonality
@@ -43,6 +49,7 @@ from .errors import (
 from .fields import FieldDescriptor, supports_splitting
 from .groups import FiniteGroup, Subgroup
 from .ntheory import is_prime, primitive_root, split_prime
+from .snf import eigenvalues_mod, kernel_mod, rref_mod
 
 CLASS_LIMIT = 120
 ORDER_LIMIT = 50_000
@@ -97,140 +104,6 @@ def _require_equal(got: np.ndarray, expect: np.ndarray, relation: str,
         _, a, b = bad[0]
         raise InternalInconsistency(
             f"{relation} orthogonality failed for {what} {min(a, b)},{max(a, b)}")
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over F_q
-
-
-def _mat_vec(mat, vec, q):
-    return [sum(m * v for m, v in zip(row, vec)) % q for row in mat]
-
-
-def _rref(rows, q):
-    """Row-reduce in place over F_q; returns (reduced rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % q != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % q != 0:
-                f = rows[i][c] % q
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _kernel_basis(mat, q):
-    """Basis of the right kernel of mat over F_q."""
-    n = len(mat[0]) if mat else 0
-    rows, pivots = _rref(mat, q)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % q
-        basis.append(v)
-    return basis
-
-
-def _solve_in_span(basis, target, q):
-    """Coordinates of target in the row span of basis, or None."""
-    if not basis:
-        return None
-    n = len(target)
-    aug = [[basis[i][j] for i in range(len(basis))] + [target[j]] for j in range(n)]
-    rows, pivots = _rref(aug, q)
-    k = len(basis)
-    coords = [0] * k
-    for r, pc in enumerate(pivots):
-        if pc == k:
-            return None  # inconsistent
-        coords[pc] = rows[r][k]
-    # verify
-    for j in range(n):
-        if sum(coords[i] * basis[i][j] for i in range(k)) % q != target[j] % q:
-            return None
-    return coords
-
-
-def _charpoly_roots(mat, q):
-    """Distinct eigenvalues over F_q of a square matrix, by interpolation + scan."""
-    m = len(mat)
-    # evaluate det(mat - x I) at x = 0..m
-    xs = list(range(m + 1))
-    ys = []
-    for x in xs:
-        a = [[(mat[i][j] - (x if i == j else 0)) % q for j in range(m)]
-             for i in range(m)]
-        ys.append(_det(a, q))
-    coeffs = _interpolate(xs, ys, q, m)
-    roots = [lam for lam in range(q) if _poly_eval(coeffs, lam, q) == 0]
-    return roots
-
-
-def _det(a, q):
-    n = len(a)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % q != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = (det * a[c][c]) % q
-        inv = pow(a[c][c], -1, q)
-        for i in range(c + 1, n):
-            if a[i][c] % q != 0:
-                f = (a[i][c] * inv) % q
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[c])]
-    return det % q
-
-
-def _interpolate(xs, ys, q, deg):
-    """Lagrange interpolation of a degree <= deg polynomial, coefficients mod q."""
-    coeffs = [0] * (deg + 1)
-    for xi, yi in zip(xs, ys):
-        # basis polynomial for xi
-        num = [1]
-        denom = 1
-        for xj in xs:
-            if xj == xi:
-                continue
-            num = _poly_mul(num, [-xj % q, 1], q)
-            denom = (denom * (xi - xj)) % q
-        f = (yi * pow(denom, -1, q)) % q
-        for i, c in enumerate(num):
-            coeffs[i] = (coeffs[i] + f * c) % q
-    return coeffs
-
-
-def _poly_mul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
-def _poly_eval(coeffs, x, q):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -410,62 +283,54 @@ def _class_data(g: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
 def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     reps, sizes, inv_class = _class_data(g)
     n = len(reps)
-    cmap = g.class_map()
+    cmap = np.array(g.class_map())
     e = g.exponent()
     order = g.order
-    # q > 2 sqrt |G| determines degrees by their residues, q > n leaves enough
-    # interpolation points, and e q^2 < 2^63 keeps the transform in int64
+    # q > 2 sqrt |G| determines degrees by their residues, q > n makes the
+    # characteristic polynomials exact, and max(e, n) q^2 < 2^63 keeps every
+    # product of the split and the transform in int64
     q = split_prime(e, max(2 * math.isqrt(order) + 1, n + 1))
-    if e * q * q >= 2 ** 63:
+    if max(e, n) * q * q >= 2 ** 63:
         raise BackendLimit(f"Dixon prime {q} is too large for int64 arithmetic")
 
-    # class multiplication constants: a[i][j][k] = #{(x,y) in C_i x C_j : xy = r_k}
-    a = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for k, rk in enumerate(reps):
-        for x in range(order):
-            y = g.mult(g.inv(x), rk)
-            a[cmap[x]][cmap[y]][k] += 1
-
-    # simultaneous eigenvectors of the class-sum matrices B_i[j][k] = a[i][j][k]
-    spaces = _full_split(a, n, q)
-    if any(len(s) != 1 for s in spaces) or len(spaces) != n:
+    # common eigenlines omega of the class matrices, scaled to omega_0 = 1:
+    # omega_k = |C_k| chi(g_k)/d mod q
+    spaces = _full_split(_class_constants(g, reps, cmap) % q, q)
+    if len(spaces) != n:
         raise InternalInconsistency("failed to split the class algebra into lines")
-
-    rows = []
-    for (vec,) in spaces:
-        if vec[0] % q == 0:
-            raise InternalInconsistency("eigenvector vanishes on the identity class")
-        norm = pow(vec[0], -1, q)
-        omega = [(v * norm) % q for v in vec]  # omega_k = |C_k| chi(g_k)/d mod q
-        theta = [(omega[k] * pow(sizes[k], -1, q)) % q for k in range(n)]
-        s = sum(sizes[k] * theta[k] * theta[inv_class[k]] for k in range(n)) % q
-        d2 = (order * pow(s, -1, q)) % q
-        d = next((t for t in range(1, 2 * math.isqrt(order) + 2)
-                  if (t * t) % q == d2), None)
-        if d is None:
+    omega = np.vstack(spaces)
+    if (omega[:, 0] != 1).any():
+        raise InternalInconsistency("eigenvector vanishes on the identity class")
+    size_mod = np.array(sizes) % q
+    theta = omega * [pow(int(s), -1, q) for s in size_mod] % q
+    norms = (theta * size_mod % q * theta[:, inv_class] % q).sum(axis=1) % q
+    ts = np.arange(1, 2 * math.isqrt(order) + 2)
+    squares = ts * ts % q
+    degrees = []
+    for s in norms:
+        d = ts[squares == order * pow(int(s), -1, q) % q]
+        if not len(d):
             raise InternalInconsistency("no admissible degree for eigenvector")
-        rows.append((d, [(d * theta[k]) % q for k in range(n)]))
-
-    degrees_check = sum(d * d for d, _ in rows)
+        degrees.append(int(d[0]))
+    degrees_check = sum(d * d for d in degrees)
     if degrees_check != order:
         raise InternalInconsistency(
             f"degree squares sum to {degrees_check}, expected {order}")
 
     # eigenvalue multiplicities: m_t = (1/d_k) sum_s chi(g_k^s) zeta^(-st),
     # the discrete Fourier transform of chi on the powers of g_k, all mod q
-    degrees = np.array([d for d, _ in rows])
-    chi = np.array([chi_mod for _, chi_mod in rows], dtype=np.int64)
+    degrees = np.array(degrees)
+    chi = degrees[:, None] * theta % q
     powers = root_powers(e, q)
     mults = []
     for rk in reps:
         cyclic = [0]  # the powers of g_k
         while (x := g.mult(cyclic[-1], rk)) != 0:
             cyclic.append(x)
-        power_classes = [cmap[x] for x in cyclic]
         dk = len(cyclic)
         ts = np.arange(dk)
         dft = powers[-np.outer(ts, ts) * (e // dk) % e]
-        m = chi[:, power_classes] @ dft % q * pow(dk, -1, q) % q
+        m = chi[:, cmap[cyclic]] @ dft % q * pow(dk, -1, q) % q
         if (m > degrees[:, None]).any():
             raise InternalInconsistency("eigenvalue multiplicity too large")
         mults.append(m)
@@ -477,30 +342,44 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
                           [int(degrees[i]) for i in perm], [m[perm] for m in mults])
 
 
-def _full_split(a, n, q):
-    """Split the full coordinate space by every class matrix sequentially."""
-    spaces = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
-    for i in range(1, n):
-        b = a[i]
+def _class_constants(g: FiniteGroup, reps: list[int], cmap: np.ndarray) -> np.ndarray:
+    """a[i, j, k] = #{(x, y) in C_i x C_j : x y = r_k}, counted as
+    #{u : u^-1 in C_i, u r_k in C_j} with one bincount per class rep r_k."""
+    n = len(reps)
+    inv_cmap = cmap[[g.inv(u) for u in g.elements()]] * n
+    a = np.empty((n, n, n), dtype=np.int64)
+    for k, rk in enumerate(reps):
+        a[:, :, k] = np.bincount(inv_cmap + cmap[g.right_column(rk)],
+                                 minlength=n * n).reshape(n, n)
+    return a
+
+
+def _full_split(a: np.ndarray, q: int) -> list[np.ndarray]:
+    """Split F_q^n into common eigenspaces of the class matrices a[i] mod q.
+
+    A subspace is the row span of its reduced row echelon form V, so the
+    coordinates of a vector of the span are its entries at V's pivot
+    columns.  The rows of V a[i]^T must lie in the span, V a[i]^T = C V,
+    and the eigenspace of a[i] for lam is then {x V : x C = lam x}.
+    """
+    n = len(a)
+    spaces = [np.eye(n, dtype=np.int64)]
+    for b in a[1:]:
+        if len(spaces) == n:
+            break
         nxt = []
         for basis in spaces:
             if len(basis) == 1:
                 nxt.append(basis)
                 continue
-            m = len(basis)
-            images = [_mat_vec(b, v, q) for v in basis]
-            coords = [_solve_in_span(basis, img, q) for img in images]
-            if any(c is None for c in coords):
+            images = basis @ b.T % q
+            coords = images[:, (basis != 0).argmax(axis=1)]
+            if not np.array_equal(coords @ basis % q, images):
                 raise InternalInconsistency("class algebra not closed on subspace")
-            rmat = [[coords[t][s] for t in range(m)] for s in range(m)]
-            for lam in _charpoly_roots(rmat, q):
-                shifted = [[(rmat[r][c] - (lam if r == c else 0)) % q
-                            for c in range(m)] for r in range(m)]
-                kvs = _kernel_basis(shifted, q)
-                if kvs:
-                    sub = [[sum(kv[t] * basis[t][j] for t in range(m)) % q
-                            for j in range(len(basis[0]))] for kv in kvs]
-                    nxt.append(sub)
+            shifted = coords.T.copy()
+            for lam in eigenvalues_mod(coords, q):
+                np.fill_diagonal(shifted, coords.diagonal() - lam)
+                nxt.append(rref_mod(kernel_mod(shifted, q) @ basis, q)[0])
         spaces = nxt
     return spaces
 

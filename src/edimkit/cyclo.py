@@ -182,10 +182,6 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.e, frozenset(self.coeffs.items())))
 
-    def sort_key(self):
-        return tuple(sorted((t, c.numerator, c.denominator)
-                            for t, c in self.coeffs.items()))
-
     def serialize(self) -> dict:
         return {str(t): f"{c.numerator}/{c.denominator}"
                 for t, c in sorted(self.coeffs.items())}

@@ -184,6 +184,12 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         return self.mult(self.mult(self.inv(a), self.inv(b)), self.mult(a, b))
 
+    def right_column(self, h: int) -> np.ndarray:
+        """x*h for every element x, indexed by x."""
+        if isinstance(self.backend, TableBackend):
+            return self.backend.table[:, h]
+        return np.array([self.mult(x, h) for x in self.elements()])
+
     def elements(self) -> range:
         return range(self.order)
 

@@ -1,12 +1,19 @@
-"""Exact linear algebra: integer Smith normal form and rational row reduction.
+"""Exact linear algebra: integer Smith normal form, rational row reduction,
+and row reduction, kernels and eigenvalues modulo a prime.
 
-Arbitrary-precision; the Smith pivot is chosen by least nonzero absolute value
-to keep coefficients small at the matrix sizes used here.
+Smith normal form and rational row reduction are arbitrary-precision; the
+Smith pivot is chosen by least nonzero absolute value to keep coefficients
+small at the matrix sizes used here.  Arithmetic modulo a prime q works on
+int64 numpy arrays with entries in [0, q); every sum of products it forms
+stays below m q^2, m the larger dimension of the matrix, which the caller
+keeps below 2^63.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def identity(n: int) -> list[list[int]]:
@@ -20,15 +27,18 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def smith_normal_form(mat: list[list[int]]):
-    """Return (D, P, Q) with P·mat·Q = D diagonal, d_1 | d_2 | ..., d_i >= 0.
+    """Return (D, P, Q, Q^-1) with P·mat·Q = D diagonal, d_1 | d_2 | ...,
+    d_i >= 0.
 
-    P and Q are unimodular.
+    P and Q are unimodular.  Q^-1 undoes each column operation of Q as a row
+    operation, in the opposite order.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     d = [list(r) for r in mat]
     p = identity(rows)
     q = identity(cols)
+    qinv = identity(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -39,6 +49,7 @@ def smith_normal_form(mat: list[list[int]]):
             r[i], r[j] = r[j], r[i]
         for r in q:
             r[i], r[j] = r[j], r[i]
+        qinv[i], qinv[j] = qinv[j], qinv[i]
 
     def add_row(i, j, c):
         # row i += c * row j
@@ -50,6 +61,7 @@ def smith_normal_form(mat: list[list[int]]):
             r[i] += c * r[j]
         for r in q:
             r[i] += c * r[j]
+        qinv[j] = [x - c * y for x, y in zip(qinv[j], qinv[i])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -102,7 +114,7 @@ def smith_normal_form(mat: list[list[int]]):
         if dt < 0:
             negate_row(t)
         t += 1
-    return d, p, q
+    return d, p, q, qinv
 
 
 def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
@@ -126,3 +138,59 @@ def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
     return rows[:len(pivots)], pivots
+
+
+def rref_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_q of a 2-D integer array: (nonzero
+    rows, their pivot columns)."""
+    rows = np.asarray(mat, dtype=np.int64) % q
+    pivots: list[int] = []
+    for col in range(rows.shape[1]):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        nonzero = np.flatnonzero(rows[r:, col])
+        if not len(nonzero):
+            continue
+        rows[[r, r + nonzero[0]]] = rows[[r + nonzero[0], r]]
+        rows[r] = rows[r] * pow(int(rows[r, col]), -1, q) % q
+        factors = rows[:, col].copy()
+        factors[r] = 0
+        rows = (rows - np.outer(factors, rows[r])) % q
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def kernel_mod(mat: np.ndarray, q: int) -> np.ndarray:
+    """Basis (rows) of the right kernel {v : mat v = 0} over F_q."""
+    rows, pivots = rref_mod(mat, q)
+    free = np.setdiff1d(np.arange(rows.shape[1]), pivots)
+    basis = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rows[:, free].T % q
+    return basis
+
+
+def eigenvalues_mod(mat: np.ndarray, q: int) -> np.ndarray:
+    """The distinct eigenvalues in F_q of a square matrix, ascending.
+
+    The characteristic polynomial comes from Faddeev-LeVerrier: with
+    M_1 = I, c_m = 1, c_(m-k) = -tr(A M_k)/k and M_(k+1) = A M_k + c_(m-k) I.
+    Its divisions by k <= m are exact over F_q when q > m.  The roots are
+    found by one Horner pass over all of F_q.
+    """
+    a = np.asarray(mat, dtype=np.int64) % q
+    m = len(a)
+    if m >= q:
+        raise ValueError(f"a {m} x {m} matrix needs a prime above {m}, not {q}")
+    eye = np.eye(m, dtype=np.int64)
+    coeffs = [1]  # highest degree first
+    am = np.zeros_like(a)
+    for k in range(1, m + 1):
+        am = a @ ((am + coeffs[-1] * eye) % q) % q
+        coeffs.append(-int(np.trace(am)) * pow(k, -1, q) % q)
+    x = np.arange(q, dtype=np.int64)
+    values = np.zeros(q, dtype=np.int64)
+    for c in coeffs:
+        values = (values * x + c) % q
+    return np.flatnonzero(values == 0)

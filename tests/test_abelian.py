@@ -41,7 +41,7 @@ def whole(g):
     ([[2, 3], [3, 2]], [1, 5]),
 ])
 def test_snf_examples(mat, divs):
-    d, p, q = smith_normal_form(mat)
+    d, p, q, _ = smith_normal_form(mat)
     assert mat_mul(mat_mul(p, mat), q) == d
     got = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     assert [abs(x) for x in got] == divs
@@ -55,7 +55,7 @@ def test_snf_divisibility_chain_random():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        d, p, q = smith_normal_form(mat)
+        d, p, q, _ = smith_normal_form(mat)
         assert mat_mul(mat_mul(p, mat), q) == d
         diag = [abs(d[i][i]) for i in range(min(rows, cols))]
         for a, b in zip(diag, diag[1:]):

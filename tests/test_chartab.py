@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import edimkit
+from edimkit import chartab
 from edimkit.chartab import (
     CharacterTable,
     _cache_path,
     _certificate_primes,
+    _class_constants,
+    _dixon_schneider,
     all_central_characters,
     central_character,
     character_table,
@@ -22,10 +25,30 @@ from edimkit.chartab import (
     rep_chi_degrees,
 )
 from edimkit.cyclo import Cyclotomic
-from edimkit.errors import InternalInconsistency, NonScalar, NotCentral, OutOfScope
+from edimkit.errors import (
+    BackendLimit,
+    InternalInconsistency,
+    NonScalar,
+    NotCentral,
+    OutOfScope,
+)
 from edimkit.fields import algebraically_closed, cyclotomic_field, rationals
-from edimkit.groups import Subgroup, direct_product, from_generators, from_table
-from edimkit.named import alternating, load_group, named_group, quaternion, symmetric
+from edimkit.groups import (
+    PermBackend,
+    Subgroup,
+    direct_product,
+    from_generators,
+    from_table,
+)
+from edimkit.named import (
+    alternating,
+    corpus,
+    load_group,
+    named_group,
+    quaternion,
+    symmetric,
+)
+from edimkit.ntheory import is_prime
 
 FIXTURES = os.path.join(os.path.dirname(edimkit.__file__), "fixtures")
 SMALL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if f != "2a8.json")
@@ -354,6 +377,58 @@ def test_certificate_primes(e, width, bound, count):
     assert math.prod(primes) > bound
     # minimal: dropping the smallest prime loses the bound
     assert math.prod(primes) // min(primes) <= bound
+
+
+# ---------------------------------------------------------------------------
+# class constants and the int64 guard of Dixon-Schneider
+
+
+def _pair_counts(g, reps, left_divide):
+    """a[i, j, k] = #{(x, y) in C_i x C_j : x y = r_k}, from y = x^-1 r_k
+    for every x, left_divide(r) giving the list of x^-1 r."""
+    cmap = np.array(g.class_map())
+    n = len(reps)
+    a = np.zeros((n, n, n), dtype=np.int64)
+    for k, rk in enumerate(reps):
+        np.add.at(a, (cmap, cmap[left_divide(rk)], k), 1)
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_class_constants_count_pairs_on_the_corpus(name):
+    g = corpus()[name]
+    reps = [min(c) for c in g.conjugacy_classes()]
+    expect = _pair_counts(g, reps, lambda r: [g.mult(g.inv(x), r) for x in g.elements()])
+    assert np.array_equal(_class_constants(g, reps, np.array(g.class_map())), expect)
+
+
+def test_class_constants_count_pairs_on_a_permutation_backend(agl_1_67):
+    g = agl_1_67
+    assert isinstance(g.backend, PermBackend)
+    perms = np.array(g.perms)
+    inverses = np.argsort(perms, axis=1)
+    index = {p: i for i, p in enumerate(g.perms)}
+    reps = [min(c) for c in g.conjugacy_classes()]
+    # x^-1 r as a permutation: x^-1 after r
+    expect = _pair_counts(g, reps, lambda r: [index[tuple(p)] for p in
+                                              inverses[:, perms[r]].tolist()])
+    a = _class_constants(g, reps, np.array(g.class_map()))
+    assert np.array_equal(a, expect)
+    assert (a.sum(axis=(0, 1)) == g.order).all()
+
+
+def test_dixon_prime_too_large_for_int64_is_a_backend_limit(monkeypatch):
+    # C2^3 has exponent 2 and 8 classes: a prime with 2 q^2 < 2^63 <= 8 q^2
+    # must be refused for the width n = 8, not only for the exponent
+    g = direct_product(direct_product(named_group("C2"), named_group("C2")),
+                       named_group("C2"))
+    q = math.isqrt(2 ** 63 // 8) + 1
+    while not is_prime(q):
+        q += 2
+    assert 2 * q * q < 2 ** 63 <= 8 * q * q
+    monkeypatch.setattr(chartab, "split_prime", lambda e, bound: q)
+    with pytest.raises(BackendLimit):
+        _dixon_schneider(g)
 
 
 # ---------------------------------------------------------------------------

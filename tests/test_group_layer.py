@@ -59,6 +59,16 @@ SMOKE = {
 }
 
 
+def test_right_column_is_right_multiplication(agl_1_67):
+    agl = agl_1_67
+    assert agl.order > TABLE_LIMIT and isinstance(agl.backend, PermBackend)
+    s4 = named_group("S4")
+    assert isinstance(s4.backend, TableBackend)
+    for g, hs in ((s4, s4.elements()), (agl, [0, 1, 2, 100, agl.order - 1])):
+        for h in hs:
+            assert g.right_column(h).tolist() == [g.mult(x, h) for x in g.elements()]
+
+
 @pytest.mark.parametrize("path", PERM_FIXTURES, ids=lambda p: p.stem)
 def test_fixture_tables_match_compose_lookup(path):
     g = load_group(str(path))

@@ -337,7 +337,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
 
 def _two_transitive_degree(g: FiniteGroup) -> Optional[int]:
     """Degree of a faithful doubly transitive natural permutation action."""
-    if g.perms is None or not g.perms:
+    if g.perms is None:
         return None
     if is_two_transitive(g):
         return len(g.perms[0])

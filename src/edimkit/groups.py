@@ -1,15 +1,16 @@
 """Finite groups with indexed elements and structural subgroup computations.
 
-Elements of a group are the integers 0..order-1, with 0 the identity.  Two
-backends sit behind the same interface: a dense multiplication table for small
-orders and a permutation backend (element -> index lookup) for large ones.
-Indexing is deterministic: breadth-first closure over generator words, ties
-broken by generator order, so downstream results are reproducible.
-
-A table is built from the Cayley columns of that closure (x -> x*s for each
-generator s), one numpy gather per element instead of one composition per
-pair.  Every checked table group has its associativity verified in full, at
-every order, by Light's test over its generators.
+Elements are the integers 0..order-1, 0 the identity, indexed by breadth-first
+closure over generator words (ties broken by generator order).  Every backend
+answers one primitive, mul(a, b), on indices or integer arrays of them,
+broadcasting like numpy indexing: a dense table (up to TABLE_LIMIT elements)
+is table[a, b]; a permutation group is an N x degree small-int array plus a
+short base, the first points whose images separate all N elements, and a*b is
+found by its base images among the sorted base keys; a direct product works
+componentwise on a1 * |G2| + a2; a quotient multiplies coset representatives
+in its parent.  Whole-group data are numpy forms over mul, except that on a
+table (mostly tiny) subgroup closures and classes walk element by element.
+Checked tables have their associativity verified in full by Light's test.
 """
 
 from __future__ import annotations
@@ -23,142 +24,150 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClosureTooLarge,
-    InternalInconsistency,
-    NotNormal,
-    TrivialGroup,
-)
+from .errors import ClosureTooLarge, InternalInconsistency, NotNormal, TrivialGroup
 from .ntheory import is_prime
 
 TABLE_LIMIT = 4096
 ELEMENT_CAP = 50_000
 SUBGROUP_LATTICE_LIMIT = 200
+# entries per temporary array in blocked broadcasts
+_BLOCK = 1 << 14
 
 
-def compose(p: tuple, q: tuple) -> tuple:
-    """Composition p after q: (p*q)(x) = p[q[x]]."""
-    return tuple(p[i] for i in q)
+def _keys(rows: np.ndarray, degree: int) -> np.ndarray:
+    """Exact sort keys of rows of points 0..degree-1 (the last axis): packed
+    into int64 while degree**width < 2**63, else the rows' bytes as void."""
+    width = rows.shape[-1]
+    if degree ** width < 1 << 63:
+        return rows @ degree ** np.arange(width, dtype=np.int64)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, width * rows.itemsize)))[..., 0]
 
 
-def _perm_order(p: tuple) -> int:
-    """Order of a permutation: lcm of its cycle lengths."""
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+def _base(perms: np.ndarray) -> list[int]:
+    """The first points, in point order, whose images separate all rows;
+    a point that separates no more rows than the earlier ones is skipped."""
+    n, degree = perms.shape
+    labels = np.zeros(n, dtype=np.int64)
+    base: list[int] = []
+    parts = 1
+    for x in range(degree):
+        if parts == n:
+            break
+        values, labels = np.unique(labels * degree + perms[:, x], return_inverse=True)
+        if len(values) > parts:
+            base.append(x)
+            parts = len(values)
+    return base
 
 
 class _Backend:
-    """Multiplication oracle over indices 0..order-1."""
+    """mul(a, b) over indices 0..order-1 and arrays of them; inverse[a]."""
 
     order: int
-
-    def mult(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
+    inverse: np.ndarray
+    table: Optional[np.ndarray] = None
 
 
 class TableBackend(_Backend):
     def __init__(self, table: np.ndarray):
         self.order = table.shape[0]
         self.table = table
+        # table[a, b], read through one flat index: faster for broadcast arrays
+        self.flat = table.ravel()
         # inverse of a is the unique b with table[a, b] == 0
-        self.inv_table = np.argmin(table, axis=1)
+        self.inverse = np.argmin(table, axis=1)
 
-    def mult(self, a, b):
-        return int(self.table[a, b])
-
-    def inv(self, a):
-        return int(self.inv_table[a])
+    def mul(self, a, b):
+        return self.flat[a * self.order + b]
 
 
 class PermBackend(_Backend):
-    def __init__(self, perms: list[tuple]):
-        self.order = len(perms)
+    """Elements as the rows of an N x degree array, found by base images."""
+
+    def __init__(self, perms: np.ndarray):
+        self.order, self.degree = perms.shape
         self.perms = perms
-        self.index = {p: i for i, p in enumerate(perms)}
-        self.inv_cache = [self.index[perm_inverse(p)] for p in perms]
+        self.base = _base(perms)
+        keys = _keys(perms[:, self.base], self.degree)
+        self.sorter = np.argsort(keys)
+        self.keys = keys[self.sorter]
+        inverse = np.empty_like(perms)
+        inverse[np.arange(self.order)[:, None], perms] = np.arange(
+            self.degree, dtype=perms.dtype)
+        self.inverse = self.index(inverse[:, self.base])
 
-    def mult(self, a, b):
-        return self.index[compose(self.perms[a], self.perms[b])]
+    def index(self, images: np.ndarray) -> np.ndarray:
+        """The elements with the given base images (last axis)."""
+        keys = _keys(images, self.degree)
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.order - 1)
+        if not np.all(self.keys[pos] == keys):
+            raise InternalInconsistency("base images of no element of the group")
+        return self.sorter[pos]
 
-    def inv(self, a):
-        return self.inv_cache[a]
+    def mul(self, a, b):
+        # (a*b)(x) = a(b(x)), read on the base points
+        b_images = self.perms[np.asarray(b)[..., None], self.base]
+        return self.index(self.perms[np.asarray(a)[..., None], b_images])
 
 
 class PairBackend(_Backend):
     """Direct product backend: index = a1 * |G2| + a2, componentwise product."""
 
     def __init__(self, g1: "FiniteGroup", g2: "FiniteGroup"):
-        self.g1 = g1
-        self.g2 = g2
+        self.g1 = g1.backend
+        self.g2 = g2.backend
+        self.n2 = g2.order
         self.order = g1.order * g2.order
+        self.inverse = (self.g1.inverse[:, None] * self.n2 + self.g2.inverse).ravel()
 
-    def mult(self, a, b):
-        n2 = self.g2.order
-        a1, a2 = divmod(a, n2)
-        b1, b2 = divmod(b, n2)
-        return self.g1.mult(a1, b1) * n2 + self.g2.mult(a2, b2)
-
-    def inv(self, a):
-        n2 = self.g2.order
-        a1, a2 = divmod(a, n2)
-        return self.g1.inv(a1) * n2 + self.g2.inv(a2)
+    def mul(self, a, b):
+        a1, a2 = np.divmod(a, self.n2)
+        b1, b2 = np.divmod(b, self.n2)
+        return self.g1.mul(a1, b1) * self.n2 + self.g2.mul(a2, b2)
 
 
 class QuotientBackend(_Backend):
-    def __init__(self, parent: "FiniteGroup", proj: list[int], reps: list[int]):
-        self.parent = parent
+    """Cosets indexed by their representatives reps; proj maps the parent's
+    elements to coset indices."""
+
+    def __init__(self, parent: "FiniteGroup", proj: np.ndarray, reps: np.ndarray):
+        self.parent = parent.backend
         self.proj = proj
         self.reps = reps
         self.order = len(reps)
+        self.inverse = proj[self.parent.inverse[reps]]
 
-    def mult(self, a, b):
-        return self.proj[self.parent.mult(self.reps[a], self.reps[b])]
+    def mul(self, a, b):
+        return self.proj[self.parent.mul(self.reps[a], self.reps[b])]
 
-    def inv(self, a):
-        return self.proj[self.parent.inv(self.reps[a])]
+
+def _products(mul: Callable, elems: np.ndarray) -> np.ndarray:
+    """The array of mul(x, y) for x, y in elems, built in row blocks."""
+    n = len(elems)
+    out = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        out[lo:lo + step] = mul(elems[lo:lo + step, None], elems[None, :])
+    return out
 
 
 class FiniteGroup:
     """Finite group with elements indexed 0..order-1, identity at 0."""
 
-    def __init__(
-        self,
-        backend: _Backend,
-        generators: Sequence[int],
-        name: str = "",
-        perms: Optional[list[tuple]] = None,
-        check: bool = True,
-    ):
+    def __init__(self, backend: _Backend, generators: Sequence[int], name: str = "",
+                 perms: Optional[np.ndarray] = None, check: bool = True):
         self.backend = backend
         self.order = backend.order
         self.generators = list(generators)
         self.name = name
-        # natural permutation action, when the group came from permutations
+        # natural permutation action (order x degree), when the group came
+        # from permutations
         self.perms = perms
         # (g1, g2) when built as a direct product, else None
         self.factors: Optional[tuple] = None
         self._classes: Optional[list[frozenset]] = None
+        self._class_map: Optional[list[int]] = None
         self._center: Optional["Subgroup"] = None
         self._commutator: Optional["Subgroup"] = None
         self._feet: Optional[list["Subgroup"]] = None
@@ -172,10 +181,10 @@ class FiniteGroup:
     # -- multiplication oracle ------------------------------------------
 
     def mult(self, a: int, b: int) -> int:
-        return self.backend.mult(a, b)
+        return int(self.backend.mul(a, b))
 
     def inv(self, a: int) -> int:
-        return self.backend.inv(a)
+        return int(self.backend.inverse[a])
 
     def conj(self, g: int, x: int) -> int:
         """g^-1 x g."""
@@ -186,9 +195,7 @@ class FiniteGroup:
 
     def right_column(self, h: int) -> np.ndarray:
         """x*h for every element x, indexed by x."""
-        if isinstance(self.backend, TableBackend):
-            return self.backend.table[:, h]
-        return np.array([self.mult(x, h) for x in self.elements()])
+        return self.backend.mul(np.arange(self.order), h)
 
     def elements(self) -> range:
         return range(self.order)
@@ -209,23 +216,22 @@ class FiniteGroup:
         quotient backends inherit associativity from their construction.
         """
         n = self.order
-        if not isinstance(self.backend, TableBackend):
+        t = self.backend.table
+        if t is None:
             for g in (0, n - 1, n // 2):
                 if self.mult(0, g) != g or self.mult(g, 0) != g:
                     raise InternalInconsistency("identity axiom failed")
                 if self.mult(g, self.inv(g)) != 0:
                     raise InternalInconsistency("inverse axiom failed")
             return
-        t = self.backend.table
         ident = np.arange(n)
         if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
             raise InternalInconsistency("identity axiom failed")
-        if np.any(t[ident, self.backend.inv_table] != 0):
+        if np.any(t[ident, self.backend.inverse] != 0):
             raise InternalInconsistency("inverse axiom failed")
         if len(self.subgroup_closure(self.generators)) != n:
             raise InternalInconsistency("generators do not generate the table")
-        # row blocks keep each temporary near 2^22 entries
-        step = max(1, (1 << 22) // n)
+        step = max(1, _BLOCK // n)
         for s in self.generators:
             ts = t[s]
             for lo in range(0, n, step):
@@ -236,19 +242,19 @@ class FiniteGroup:
     # -- element data ---------------------------------------------------
 
     def element_order(self, g: int) -> int:
-        k = 1
-        x = g
-        while x != 0:
-            x = self.mult(x, g)
-            k += 1
-        return k
+        return self.element_orders()[g]
 
     def element_orders(self) -> list[int]:
+        """Order of every element: g^k is multiplied by g until it is 1."""
         if self._orders is None:
-            if self.perms is not None and len(set(self.perms)) == self.order:
-                self._orders = [_perm_order(p) for p in self.perms]
-            else:
-                self._orders = [self.element_order(g) for g in self.elements()]
+            every = np.arange(self.order)
+            orders = np.ones(self.order, dtype=np.int64)
+            power, alive = every, every != 0
+            while alive.any():
+                orders += alive
+                power = self.backend.mul(power, every)
+                alive &= power != 0
+            self._orders = orders.tolist()
         return self._orders
 
     def exponent(self) -> int:
@@ -269,37 +275,50 @@ class FiniteGroup:
     # -- conjugacy classes ----------------------------------------------
 
     def conjugacy_classes(self) -> list[frozenset]:
-        """Partition into conjugation orbits, ordered by minimal element."""
-        if self._classes is not None:
-            return self._classes
-        seen = [False] * self.order
-        classes = []
-        gens = self.generators or []
-        for start in self.elements():
-            if seen[start]:
-                continue
-            orbit = {start}
-            seen[start] = True
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for g in gens:
-                    y = self.conj(g, x)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        queue.append(y)
-            classes.append(frozenset(orbit))
-        classes.sort(key=min)
-        self._classes = classes
-        return classes
+        """Partition into conjugation orbits, ordered by minimal element.
+
+        A table walks each orbit under conjugation by the generators; any
+        other backend takes the least unplaced element x and all of its
+        conjugates g^-1 x g in one column.
+        """
+        if self._classes is None:
+            classes, t = [], self.backend.table
+            if t is not None:
+                pairs = [(int(self.backend.inverse[g]), g) for g in self.generators]
+                placed: set = set()
+                for start in range(self.order):
+                    if start in placed:
+                        continue
+                    orbit, queue = {start}, [start]
+                    for x in queue:
+                        for gi, g in pairs:
+                            y = t.item(t.item(gi, x), g)
+                            if y not in orbit:
+                                orbit.add(y)
+                                queue.append(y)
+                    placed |= orbit
+                    classes.append(frozenset(orbit))
+            else:
+                every = np.arange(self.order)
+                unplaced = np.ones(self.order, dtype=bool)
+                while unplaced.any():
+                    x = int(np.argmax(unplaced))
+                    members = np.unique(self.backend.mul(
+                        self.backend.mul(self.backend.inverse, x), every))
+                    unplaced[members] = False
+                    classes.append(frozenset(members.tolist()))
+            self._classes = classes
+        return self._classes
 
     def class_map(self) -> list[int]:
-        cm = [0] * self.order
-        for i, c in enumerate(self.conjugacy_classes()):
-            for g in c:
-                cm[g] = i
-        return cm
+        """Class index of every element (memoized; callers must not modify it)."""
+        if self._class_map is None:
+            cm = [0] * self.order
+            for i, c in enumerate(self.conjugacy_classes()):
+                for g in c:
+                    cm[g] = i
+            self._class_map = cm
+        return self._class_map
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -309,12 +328,11 @@ class FiniteGroup:
 
     def center(self) -> "Subgroup":
         if self._center is None:
-            gens = self.generators
-            elems = frozenset(
-                g for g in self.elements()
-                if all(self.mult(g, h) == self.mult(h, g) for h in gens)
-            )
-            self._center = Subgroup(self, elems, normal=True)
+            every = np.arange(self.order)[:, None]
+            gens = np.array(self.generators, dtype=np.int64)
+            central = (self.backend.mul(every, gens) == self.backend.mul(gens, every)).all(axis=1)
+            self._center = Subgroup(
+                self, frozenset(np.flatnonzero(central).tolist()), normal=True)
         return self._center
 
     def commutator_subgroup(self) -> "Subgroup":
@@ -327,20 +345,28 @@ class FiniteGroup:
         return self._commutator
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset:
-        """Elements of the subgroup generated by gens (BFS over the Cayley graph)."""
+        """Elements of the subgroup generated by gens (BFS over the Cayley
+        graph): element by element on a table, layer by layer otherwise."""
         gens = [g for g in gens if g != 0]
-        seen = {0}
-        order_list = [0]
-        i = 0
-        while i < len(order_list):
-            x = order_list[i]
-            i += 1
-            for g in gens:
-                y = self.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    order_list.append(y)
-        return frozenset(seen)
+        t = self.backend.table
+        if t is not None:
+            seen, queue = {0}, [0]
+            for x in queue:
+                for g in gens:
+                    y = t.item(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            return frozenset(seen)
+        step = np.array(gens, dtype=np.int64)
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        layer = np.zeros(1, dtype=np.int64)
+        while layer.size:
+            nxt = np.unique(self.backend.mul(layer[:, None], step[None, :]))
+            layer = nxt[~reached[nxt]]
+            reached[layer] = True
+        return frozenset(np.flatnonzero(reached).tolist())
 
     def normal_closure(self, seed: Iterable[int]) -> "Subgroup":
         """Smallest normal subgroup containing the seed elements."""
@@ -349,15 +375,8 @@ class FiniteGroup:
             return Subgroup(self, frozenset([0]), normal=True, gens=[])
         while True:
             elems = self.subgroup_closure(gens)
-            new = None
-            for h in gens:
-                for g in self.generators:
-                    c = self.conj(g, h)
-                    if c not in elems:
-                        new = c
-                        break
-                if new is not None:
-                    break
+            new = next((c for h in gens for g in self.generators
+                        if (c := self.conj(g, h)) not in elems), None)
             if new is None:
                 # closed under conjugation by generators => normal
                 return Subgroup(self, elems, normal=True, gens=gens)
@@ -386,10 +405,8 @@ class FiniteGroup:
                 if n.elements not in seen_sets:
                     seen_sets.add(n.elements)
                     closures.append(n)
-            minimal = []
-            for n in closures:
-                if not any(m.elements < n.elements for m in closures):
-                    minimal.append(n)
+            minimal = [n for n in closures
+                       if not any(m.elements < n.elements for m in closures)]
             minimal.sort(key=lambda s: (len(s.elements), sorted(s.elements)))
             self._feet = minimal
         return list(self._feet)
@@ -413,30 +430,29 @@ class FiniteGroup:
     # -- quotients and products -----------------------------------------
 
     def quotient(self, n: "Subgroup") -> "QuotientMap":
+        """G/N with each coset xN indexed by the rank of its least element."""
         if n.parent is not self:
             raise NotNormal("subgroup belongs to a different parent")
         if not n.is_normal():
             raise NotNormal("subgroup is not normal")
-        nel = sorted(n.elements)
-        proj = [-1] * self.order
-        reps: list[int] = []
-        for x in self.elements():
-            if proj[x] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(x)
-            for m in nel:
-                proj[self.mult(x, m)] = cid
+        every = np.arange(self.order)
+        nel = np.array(sorted(n.elements), dtype=np.int64)
+        least = every
+        step = max(1, _BLOCK // self.order)
+        for lo in range(0, len(nel), step):
+            cosets = self.backend.mul(every[:, None], nel[None, lo:lo + step])
+            least = np.minimum(least, cosets.min(axis=1))
+        reps, proj = np.unique(least, return_inverse=True)
         backend = QuotientBackend(self, proj, reps)
         qgens = []
         for g in self.generators:
-            img = proj[g]
+            img = int(proj[g])
             if img != 0 and img not in qgens:
                 qgens.append(img)
         target = FiniteGroup(backend, qgens, name=f"{self.name}/N" if self.name else "")
         if len(reps) <= TABLE_LIMIT:
             target = _tabulate(target)
-        return QuotientMap(self, target, proj)
+        return QuotientMap(self, target, proj.tolist())
 
     def fingerprint(self, with_generators: bool = True) -> str:
         """Canonical fingerprint: order, class sizes, element-order histogram
@@ -451,23 +467,21 @@ class FiniteGroup:
             g = hashlib.sha256()
             g.update(json.dumps(self.generators).encode())
             if self.perms is not None:
-                g.update(json.dumps([list(p) for p in self.perms[: 1]]).encode())
+                g.update(json.dumps(self.perms[:1].tolist()).encode())
             return f"{self._fingerprint}:{g.hexdigest()[:8]}"
         return self._fingerprint
 
     def presentation_digest(self) -> str:
         """Hash of the generators' permutations or, for groups without a
-        permutation action, of their columns x -> x*s of the multiplication
-        table.  Either determines the group together with its indexing."""
+        permutation action, of their columns x -> x*s under mul.  Either
+        determines the group together with its indexing."""
         h = hashlib.sha256(json.dumps(self.generators).encode())
         if self.perms is not None:
-            h.update(json.dumps([self.perms[s] for s in self.generators]).encode())
-        elif isinstance(self.backend, TableBackend):
-            h.update(np.ascontiguousarray(self.backend.table[:, self.generators],
-                                          dtype="<i8").tobytes())
+            h.update(json.dumps(self.perms[self.generators].tolist()).encode())
         else:
-            h.update(json.dumps([[self.mult(x, s) for x in self.elements()]
-                                 for s in self.generators]).encode())
+            gens = np.array(self.generators, dtype=np.int64)
+            columns = self.backend.mul(np.arange(self.order)[:, None], gens[None, :])
+            h.update(np.ascontiguousarray(columns, dtype="<i8").tobytes())
         return h.hexdigest()[:16]
 
     def __repr__(self):
@@ -541,17 +555,14 @@ class Subgroup:
         Returns (group, elems) where elems[i] is the parent index of
         element i of the new group.  Identity maps to identity.
         """
-        elems = [0] + sorted(x for x in self.elements if x != 0)
-        pos = {x: i for i, x in enumerate(elems)}
-        n = len(elems)
-        table = np.zeros((n, n), dtype=np.int32)
-        p = self.parent
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                table[i, j] = pos[p.mult(x, y)]
-        gens = [pos[g] for g in self.generating_set()]
+        elems = np.array(sorted(self.elements), dtype=np.int64)
+        pos = np.empty(self.parent.order, dtype=np.int32)
+        pos[elems] = np.arange(len(elems), dtype=np.int32)
+        mul = self.parent.backend.mul
+        table = _products(lambda a, b: pos[mul(a, b)], elems)
+        gens = pos[self.generating_set()].tolist()
         g = FiniteGroup(TableBackend(table), gens, check=False)
-        return g, elems
+        return g, elems.tolist()
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.parent!r}>"
@@ -571,81 +582,70 @@ class QuotientMap:
 
 
 def _tabulate(g: FiniteGroup) -> FiniteGroup:
-    """Replace a product or quotient backend by a dense table (small orders only).
-
-    Products of two table-backed factors and quotients of a table-backed
-    parent are built with whole-array numpy indexing; only quotients of a
-    permutation-backed parent multiply element by element.
-    """
-    n = g.order
-    b = g.backend
-    if isinstance(b, PairBackend) and isinstance(b.g1.backend, TableBackend) \
-            and isinstance(b.g2.backend, TableBackend):
-        # (a1, a2)(b1, b2) = (a1 b1, a2 b2), with index a1 * |G2| + a2
-        t1 = b.g1.backend.table
-        t2 = b.g2.backend.table
-        table = (t1[:, None, :, None] * b.g2.order + t2[None, :, None, :]).reshape(n, n)
-    elif isinstance(b, QuotientBackend) and isinstance(b.parent.backend, TableBackend):
-        reps = np.asarray(b.reps)
-        table = np.asarray(b.proj, dtype=np.int32)[b.parent.backend.table[np.ix_(reps, reps)]]
-    else:
-        table = np.zeros((n, n), dtype=np.int32)
-        for x in range(n):
-            for y in range(n):
-                table[x, y] = g.mult(x, y)
+    """Replace a product or quotient backend by a dense table (small orders only)."""
+    table = _products(g.backend.mul, np.arange(g.order))
     return FiniteGroup(TableBackend(table), g.generators, name=g.name, check=False)
 
 
-def from_generators(
-    perms: Sequence[Sequence[int]],
-    degree: Optional[int] = None,
-    name: str = "",
-) -> FiniteGroup:
+def from_generators(perms: Sequence[Sequence[int]], degree: Optional[int] = None,
+                    name: str = "") -> FiniteGroup:
     """Group generated by permutations, indexed by breadth-first closure.
 
+    The closure runs one layer at a time: every element of a layer times
+    every generator, in that order, with the first occurrence of each new
+    permutation appended, which is the order of an element-by-element BFS.
     Up to TABLE_LIMIT elements the multiplication table is assembled from
-    the closure's Cayley columns right[k][x] = x*g_k: each element j other
+    the closure's Cayley columns right[x, k] = x*g_k: each element j other
     than the identity was first reached as j = p*g_k from an earlier p, and
-    a*j = (a*p)*g_k, so column j of the table is right[k][column p].
+    a*j = (a*p)*g_k, so column j of the table is right[column p, k].
     """
     if degree is None:
         degree = max((len(p) for p in perms), default=1)
-    gens = []
     for p in perms:
-        t = tuple(p)
-        if sorted(t) != list(range(degree)):
+        if sorted(p) != list(range(degree)):
             raise InternalInconsistency(f"not a permutation of 0..{degree-1}: {p}")
-        gens.append(t)
-    ident = tuple(range(degree))
-    discovered = [ident]
-    index = {ident: 0}
-    right: list[list[int]] = [[] for _ in gens]
-    # (p, k) with discovered[j] = discovered[p] * gens[k], for j >= 1
-    origin: list[tuple[int, int]] = []
-    i = 0
-    while i < len(discovered):
-        base = discovered[i]
-        for k, g in enumerate(gens):
-            w = compose(base, g)
-            j = index.get(w)
-            if j is None:
-                if len(discovered) >= ELEMENT_CAP:
-                    raise ClosureTooLarge(f"closure exceeds cap {ELEMENT_CAP}")
-                j = index[w] = len(discovered)
-                discovered.append(w)
-                origin.append((i, k))
-            right[k].append(j)
-        i += 1
-    gen_idx = [index[g] for g in gens]
-    n = len(discovered)
-    if n <= TABLE_LIMIT:
-        cols = [np.asarray(r, dtype=np.int32) for r in right]
-        table = np.empty((n, n), dtype=np.int32)
-        table[:, 0] = np.arange(n, dtype=np.int32)
-        for j, (p, k) in enumerate(origin, start=1):
-            table[:, j] = cols[k][table[:, p]]
-        return FiniteGroup(TableBackend(table), gen_idx, name=name, perms=discovered)
-    return FiniteGroup(PermBackend(discovered), gen_idx, name=name, perms=discovered)
+    dtype = np.int16 if degree <= 1 << 15 else np.int32
+    gens = np.array(perms, dtype=dtype).reshape(len(perms), degree)
+    m = len(gens)
+    layers = [np.arange(degree, dtype=dtype)[None, :]]
+    keys = [_keys(layers[0], degree)]   # of each layer's elements
+    products = []                       # keys of each layer times each generator
+    known = keys[0]                     # sorted keys of all elements so far
+    n = 1
+    while len(layers[-1]):
+        # row i * m + k is layer[i] * gens[k], that is layer[i][gens[k][x]]
+        step = layers[-1][:, gens].reshape(-1, degree)
+        step_keys = _keys(step, degree)
+        pos = np.minimum(known.searchsorted(step_keys), len(known) - 1)
+        miss = np.flatnonzero(known[pos] != step_keys)
+        new_keys, first = np.unique(step_keys[miss], return_index=True)
+        n += len(first)
+        if n > ELEMENT_CAP:
+            raise ClosureTooLarge(f"closure exceeds cap {ELEMENT_CAP}")
+        found = miss[np.sort(first)]
+        layers.append(step[found])
+        keys.append(step_keys[found])
+        products.append(step_keys)
+        known = np.sort(np.concatenate([known, new_keys]))
+    perms_array = np.concatenate(layers)
+    index = np.argsort(np.concatenate(keys))
+    right = index[known.searchsorted(np.concatenate(products))].reshape(n, m)
+    if n > TABLE_LIMIT:
+        return FiniteGroup(PermBackend(perms_array), right[0].tolist(), name=name,
+                           perms=perms_array)
+    # the product that first reached j, in BFS order, is its origin p * g_k
+    values, first = np.unique(right, return_index=True)
+    origin = first[values != 0]
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    lo = 1
+    for layer in layers[1:-1]:
+        hi = lo + len(layer)
+        parents, ks = np.divmod(origin[lo - 1:hi - 1], m)
+        table[:, lo:hi] = right[table[:, parents], ks]
+        lo = hi
+    return FiniteGroup(TableBackend(table), right[0].tolist(), name=name,
+                       perms=perms_array)
 
 
 def from_table(elems: list, mult_fn: Callable, gens: list, name: str = "") -> FiniteGroup:
@@ -682,11 +682,12 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def all_subgroups(g: FiniteGroup) -> list[frozenset]:
-    """Every subgroup of a small group (test oracle, bottom-up closure)."""
+    """Every subgroup of a small group, bottom-up: each subgroup found is
+    closed again with one more element, from its generators."""
     if g.order > SUBGROUP_LATTICE_LIMIT:
         raise ClosureTooLarge(
             f"subgroup lattice limited to order {SUBGROUP_LATTICE_LIMIT}")
-    found = {frozenset([0])}
+    found = {frozenset([0]): []}
     frontier = [frozenset([0])]
     while frontier:
         nxt = []
@@ -694,44 +695,34 @@ def all_subgroups(g: FiniteGroup) -> list[frozenset]:
             for x in g.elements():
                 if x in h:
                     continue
-                new = g.subgroup_closure(sorted(h | {x}))
+                new = g.subgroup_closure(found[h] + [x])
                 if new not in found:
-                    found.add(new)
+                    found[new] = found[h] + [x]
                     nxt.append(new)
         frontier = nxt
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def normal_subgroups_bruteforce(g: FiniteGroup) -> list[frozenset]:
-    out = []
-    for s in all_subgroups(g):
-        sub = Subgroup(g, s)
-        if sub.is_normal():
-            out.append(s)
-    return out
-
-
 def is_two_transitive(g: FiniteGroup) -> bool:
-    """Whether the natural permutation action is 2-transitive and faithful.
+    """Whether the natural permutation action is 2-transitive (it is
+    faithful: the elements are distinct permutations).
 
     Only meaningful for groups built from permutations; returns False otherwise.
     """
     if g.perms is None:
         return False
-    degree = len(g.perms[0])
-    if degree < 2:
+    degree = g.perms.shape[1]
+    if degree < 2 or g.order < degree * (degree - 1):
         return False
-    if len(set(g.perms)) != g.order:
-        return False
-    # orbit of the ordered pair (0, 1) under the group must be all ordered pairs
-    seen = {(0, 1)}
-    queue = [(0, 1)]
-    gens = [g.perms[i] for i in g.generators]
-    while queue:
-        a, b = queue.pop()
-        for p in gens:
-            t = (p[a], p[b])
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return len(seen) == degree * (degree - 1)
+    # orbit of the ordered pair (0, 1), coded a * degree + b, must be all
+    # ordered pairs
+    gens = g.perms[g.generators].astype(np.int64)
+    seen = np.zeros(degree * degree, dtype=bool)
+    seen[1] = True
+    layer = np.array([1])
+    while layer.size:
+        a, b = np.divmod(layer, degree)
+        nxt = np.unique(gens[:, a] * degree + gens[:, b])
+        layer = nxt[~seen[nxt]]
+        seen[layer] = True
+    return int(seen.sum()) == degree * (degree - 1)

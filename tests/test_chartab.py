@@ -407,7 +407,7 @@ def test_class_constants_count_pairs_on_a_permutation_backend(agl_1_67):
     assert isinstance(g.backend, PermBackend)
     perms = np.array(g.perms)
     inverses = np.argsort(perms, axis=1)
-    index = {p: i for i, p in enumerate(g.perms)}
+    index = {tuple(p): i for i, p in enumerate(g.perms.tolist())}
     reps = [min(c) for c in g.conjugacy_classes()]
     # x^-1 r as a permutation: x^-1 after r
     expect = _pair_counts(g, reps, lambda r: [index[tuple(p)] for p in

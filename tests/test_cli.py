@@ -306,11 +306,36 @@ GOLDEN = [
     (["rdim", "q8xc3.json", "--field", "Q(zeta_12)"], (
         '{"component_rows":[12],"dimension_vector":[2],"path":"B","value"'
         ':2}')),
+    # groups above TABLE_LIMIT: a permutation group and a direct product
+    (["invariants", "agl1_67.json"], (
+        '{"abelian":false,"center_order":1,"commutator_order":67,"exponent'
+        '":4422,"feet":[67],"field":"Q","fingerprint":"4422:dd195caa440724'
+        '39","k_center_order":1,"k_center_rank":0,"n_classes":67,"order":4'
+        '422,"semi_faithful":true,"socle_abelian":true,"socle_central":fal'
+        'se,"socle_order":67,"supports_splitting":false}')),
+    (["invariants", "s5xa5.json"], (
+        '{"abelian":false,"center_order":1,"commutator_order":3600,"expone'
+        'nt":60,"feet":[60,60],"field":"Q","fingerprint":"7200:d3cb39e9f8b'
+        '8fff9","k_center_order":1,"k_center_rank":0,"n_classes":35,"order'
+        '":7200,"semi_faithful":true,"socle_abelian":false,"socle_central"'
+        ':false,"socle_order":3600,"supports_splitting":false}')),
 ]
+
+# golden groups that are not shipped fixtures, written out by the test
+GOLDEN_SPECS = {
+    "agl1_67.json": {"kind": "permutation", "degree": 67,
+                     "generators": [[2 * x % 67 for x in range(67)],
+                                    [(x + 1) % 67 for x in range(67)]]},
+    "s5xa5.json": {"kind": "named", "name": "S5xA5"},
+}
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN,
                          ids=[f"{argv[0]}-{argv[1]}" for argv, _ in GOLDEN])
-def test_golden_output(capsys, argv, expected):
-    assert main([argv[0], fx(argv[1]), *argv[2:]]) == 0
+def test_golden_output(capsys, tmp_path, argv, expected):
+    path = fx(argv[1])
+    if argv[1] in GOLDEN_SPECS:
+        path = tmp_path / argv[1]
+        path.write_text(json.dumps(GOLDEN_SPECS[argv[1]]))
+    assert main([argv[0], str(path), *argv[2:]]) == 0
     assert capsys.readouterr().out == expected + "\n"

@@ -14,13 +14,16 @@ from edimkit.errors import InternalInconsistency
 from edimkit.groups import (
     TABLE_LIMIT,
     FiniteGroup,
+    PairBackend,
     PermBackend,
+    QuotientBackend,
+    Subgroup,
     TableBackend,
-    compose,
+    direct_product,
     from_generators,
-    normal_subgroups_bruteforce,
 )
 from edimkit.named import corpus, cyclic, dihedral, load_group, named_group
+from test_groups import normal_subgroups_bruteforce
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "edimkit" / "fixtures"
 # fixtures built from permutations with a table (2A8 is above TABLE_LIMIT)
@@ -28,10 +31,16 @@ PERM_FIXTURES = [p for p in sorted(FIXTURE_DIR.glob("*.json"))
                  if p.name != "2a8.json" and load_group(str(p)).perms is not None]
 
 
+def compose(p, q):
+    """Composition p after q of permutation tuples: (p*q)(x) = p[q[x]]."""
+    return tuple(p[i] for i in q)
+
+
 def compose_lookup_table(g):
     """The table as composing every pair of permutations and looking it up."""
-    index = {p: i for i, p in enumerate(g.perms)}
-    return np.array([[index[compose(pa, pb)] for pb in g.perms] for pa in g.perms])
+    perms = [tuple(p) for p in g.perms.tolist()]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[compose(pa, pb)] for pb in perms] for pa in perms])
 
 
 def compose_lookup_table_np(g):
@@ -156,3 +165,96 @@ def test_light_accepts_every_generating_set_of_a_group():
     for gens in ([1, 2], [2, 1], [1, 2, 3], list(range(1, 8))):
         FiniteGroup(TableBackend(t), gens)
 
+
+
+# ---------------------------------------------------------------------------
+# the backends above TABLE_LIMIT against elementwise oracles
+
+
+@pytest.fixture(scope="module")
+def s5xa5():
+    return named_group("S5xA5")
+
+
+@pytest.fixture(scope="module")
+def agl_mod_c2(agl_1_67):
+    """C2 x AGL(1, 67) modulo its C2 factor {0, |AGL|}."""
+    g = direct_product(cyclic(2), agl_1_67)
+    return g.quotient(Subgroup(g, frozenset([0, agl_1_67.order]), normal=True))
+
+
+def check_against_oracle(g, mult, inv):
+    """g's mul on scalars and on broadcast index arrays, its inverses and
+    right columns, against the elementwise oracles mult and inv."""
+    rng = np.random.default_rng(20261018)
+    xs, ys = rng.integers(0, g.order, (2, 40))
+    for a, b in zip(xs.tolist(), ys.tolist()):
+        assert g.mult(a, b) == int(g.backend.mul(a, b)) == mult(a, b)
+    grid = g.backend.mul(xs[:15, None], ys[None, :15])
+    assert grid.tolist() == [[mult(a, b) for b in ys[:15].tolist()] for a in xs[:15].tolist()]
+    assert g.backend.mul(xs, ys).tolist() == [mult(a, b) for a, b in zip(xs.tolist(), ys.tolist())]
+    assert [g.inv(a) for a in xs.tolist()] == g.backend.inverse[xs].tolist() \
+        == [inv(a) for a in xs.tolist()]
+    for h in (0, int(xs[0]), g.order - 1):
+        assert g.right_column(h).tolist() == [mult(x, h) for x in range(g.order)]
+
+
+def test_permutation_backend_matches_compose_and_lookup(agl_1_67):
+    g = agl_1_67
+    assert g.order > TABLE_LIMIT and isinstance(g.backend, PermBackend)
+    perms = [tuple(p) for p in g.perms.tolist()]
+    index = {p: i for i, p in enumerate(perms)}
+    assert len(index) == g.order
+
+    def inverse(p):
+        out = [0] * len(p)
+        for i, v in enumerate(p):
+            out[v] = i
+        return tuple(out)
+
+    check_against_oracle(g, lambda a, b: index[compose(perms[a], perms[b])],
+                         lambda a: index[inverse(perms[a])])
+
+
+def test_product_backend_matches_componentwise_product(s5xa5):
+    g = s5xa5
+    g1, g2 = g.factors
+    n2 = g2.order
+    assert g.order == 7200 and isinstance(g.backend, PairBackend)
+    check_against_oracle(
+        g, lambda a, b: g1.mult(a // n2, b // n2) * n2 + g2.mult(a % n2, b % n2),
+        lambda a: g1.inv(a // n2) * n2 + g2.inv(a % n2))
+
+
+def test_quotient_backend_matches_coset_arithmetic(agl_mod_c2):
+    qm = agl_mod_c2
+    g, proj = qm.source, qm.projection
+    assert qm.target.order == 4422 and isinstance(qm.target.backend, QuotientBackend)
+    reps = {}
+    for x in g.elements():
+        reps.setdefault(proj[x], x)
+    assert len(reps) == qm.target.order
+    check_against_oracle(qm.target, lambda a, b: proj[g.mult(reps[a], reps[b])],
+                         lambda a: proj[g.inv(reps[a])])
+
+
+def test_base_keys_compared_as_bytes_beyond_int64():
+    # C2^14 on 28 points: the base is one point of each pair, and
+    # 28^14 >= 2^63, so base images are compared as bytes
+    gens = [[2 * i + 1 - (x - 2 * i) if x // 2 == i else x for x in range(28)]
+            for i in range(14)]
+    g = from_generators(gens)
+    assert g.order == 2 ** 14 and isinstance(g.backend, PermBackend)
+    assert len(g.backend.base) == 14 and g.backend.keys.dtype.kind == "V"
+    perms = [tuple(p) for p in g.perms.tolist()]
+    index = {p: i for i, p in enumerate(perms)}
+    check_against_oracle(g, lambda a, b: index[compose(perms[a], perms[b])],
+                         lambda a: a)
+
+
+def test_base_images_of_no_element_raise(agl_1_67):
+    g = agl_1_67
+    assert g.backend.base == [0, 1]
+    # x -> a x + b sends 0 and 1 to distinct points
+    with pytest.raises(InternalInconsistency, match="no element"):
+        g.backend.index(np.array([5, 5]))

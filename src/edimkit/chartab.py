@@ -254,21 +254,29 @@ class CentralCharacter:
 
 def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
                     use_cache: bool = True) -> CharacterTable:
+    """The certified character table of g.
+
+    The default call (no cache_dir, cache on) keeps its table on g, so the
+    disk cache is read and the table certified once per group object; an
+    explicit cache_dir or use_cache=False neither reads nor sets that memo.
+    """
+    memo = cache_dir is None and use_cache
+    if memo and g._table is not None:
+        return g._table
     if g.order > ORDER_LIMIT:
         raise BackendLimit(f"group order {g.order} exceeds {ORDER_LIMIT}")
     classes = g.conjugacy_classes()
     if len(classes) > CLASS_LIMIT:
         raise BackendLimit(f"{len(classes)} classes exceed the limit {CLASS_LIMIT}")
 
-    if use_cache:
-        cached = _cache_load(g, cache_dir)
-        if cached is not None:
-            return cached
-
-    table = _dixon_schneider(g)
-    table.verify_orthogonality()
-    if use_cache:
-        _cache_store(g, table, cache_dir)
+    table = _cache_load(g, cache_dir) if use_cache else None
+    if table is None:
+        table = _dixon_schneider(g)
+        table.verify_orthogonality()
+        if use_cache:
+            _cache_store(g, table, cache_dir)
+    if memo:
+        g._table = table
     return table
 
 

@@ -405,30 +405,40 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
 
 
 def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, depth, seen):
-    candidates: list[frozenset] = []
     if subgroups == "all" and g.order <= SUBGROUP_LATTICE_LIMIT:
-        candidates = [s for s in all_subgroups(g) if 1 < len(s) < g.order]
-    else:
-        seen_sets = set()
-        for x in g.elements():
-            if x == 0:
-                continue
-            s = g.subgroup_closure([x])
-            if len(s) < g.order and s not in seen_sets:
-                seen_sets.add(s)
-                candidates.append(s)
-    for elems in candidates:
-        h = Subgroup(g, elems)
-        hg, _ = h.as_group()
-        if hg.fingerprint() in seen:
-            continue
-        eh = edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1, _seen=seen)
-        rk_h = k_center_rank(hg, f)
-        bound = eh.lower - rk_h + rk_z
-        if bound > b.lower:
-            b.tighten_lower(bound, "R8", CITE["R8"],
-                            f"subgroup of order {hg.order}: lower {eh.lower}, "
-                            f"rk Z(H,k) {rk_h}, rk Z(G,k) {rk_z}")
+        for elems in all_subgroups(g):
+            if 1 < len(elems) < g.order:
+                _subgroup_bound(g, f, b, rk_z, facts, depth, seen, elems)
+        return
+    # The bound depends only on the isomorphism type of H, and cyclic
+    # subgroups of one order are isomorphic: a later copy has the same lower
+    # bound and rk Z(H,k) as the first evaluated one, so it can never raise
+    # b.lower, and one candidate per element order leaves the trace as it
+    # was (tests/test_r8_pruning.py compares with the loop over every cyclic
+    # subgroup).  An order counts as done only once a candidate of it was
+    # evaluated: a copy skipped because its (generator-dependent)
+    # fingerprint is in `seen` leaves the next copy to be tried.
+    orders = g.element_orders()
+    done = {1, g.order}
+    for x in g.elements():
+        if orders[x] not in done and _subgroup_bound(
+                g, f, b, rk_z, facts, depth, seen, g.subgroup_closure([x])):
+            done.add(orders[x])
+
+
+def _subgroup_bound(g, f, b, rk_z, facts, depth, seen, elems) -> bool:
+    """Apply R8 to the subgroup on elems; False when it is skipped as seen."""
+    hg, _ = Subgroup(g, elems).as_group()
+    if hg.fingerprint() in seen:
+        return False
+    eh = edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1, _seen=seen)
+    rk_h = k_center_rank(hg, f)
+    bound = eh.lower - rk_h + rk_z
+    if bound > b.lower:
+        b.tighten_lower(bound, "R8", CITE["R8"],
+                        f"subgroup of order {hg.order}: lower {eh.lower}, "
+                        f"rk Z(H,k) {rk_h}, rk Z(G,k) {rk_z}")
+    return True
 
 
 def _apply_char_p_estimate(g, f, b, facts, subgroups, depth, seen):

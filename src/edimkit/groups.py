@@ -173,6 +173,8 @@ class FiniteGroup:
         self._feet: Optional[list["Subgroup"]] = None
         self._socle: Optional["Subgroup"] = None
         self._socle_abelian: Optional["Subgroup"] = None
+        # the certified character table of a default `character_table` call
+        self._table = None
         self._orders: Optional[list[int]] = None
         self._fingerprint: Optional[str] = None
         if check:

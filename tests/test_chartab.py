@@ -529,3 +529,39 @@ def test_unusable_cache_file_is_rewritten(tmp_path, damage):
     path.write_text(json.dumps(data))
     assert character_table(g, cache_dir=str(tmp_path)).serialize() == t.serialize()
     assert json.loads(path.read_text()) == t.serialize()
+
+
+def test_default_table_is_loaded_and_certified_once_per_group(monkeypatch, tmp_path):
+    counts = {"load": 0, "deserialize": 0, "verify": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(chartab, "_cache_load", counted("load", chartab._cache_load))
+    monkeypatch.setattr(CharacterTable, "deserialize",
+                        staticmethod(counted("deserialize", CharacterTable.deserialize)))
+    monkeypatch.setattr(CharacterTable, "verify_orthogonality",
+                        counted("verify", CharacterTable.verify_orthogonality))
+    g = named_group("D5")
+    t = character_table(g)  # fills the default cache directory if need be
+    counts.update(dict.fromkeys(counts, 0))
+    assert character_table(g) is t
+    assert counts == {"load": 0, "deserialize": 0, "verify": 0}
+
+    # a fresh object with the same presentation still loads and certifies
+    fresh = named_group("D5")
+    assert character_table(fresh).serialize() == t.serialize()
+    assert counts == {"load": 1, "deserialize": 1, "verify": 1}
+
+    # explicit calls neither read the memo nor set it
+    assert character_table(g, use_cache=False) is not t
+    assert character_table(g, cache_dir=str(tmp_path)) is not t
+    other = named_group("D5")
+    character_table(other, cache_dir=str(tmp_path))
+    character_table(other, use_cache=False)
+    counts.update(dict.fromkeys(counts, 0))
+    character_table(other)
+    assert counts == {"load": 1, "deserialize": 1, "verify": 1}

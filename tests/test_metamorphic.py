@@ -9,7 +9,6 @@ import os
 import random
 import tempfile
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,10 +94,9 @@ def test_agl_1_67_invariants_are_presentation_independent():
         assert invariants(other) == expect, name
 
 
-@pytest.mark.slow
 def test_agl_1_67_intervals_are_presentation_independent():
     # the three transformations at once: edim and covdim over Q take about
-    # a minute per presentation of AGL(1, 67)
+    # a second per presentation of AGL(1, 67)
     other = relabel(AGL_1_67, SIGMA_67)[::-1]
     other.append(compose(other[0], other[1]))
     assert intervals(other) == intervals(AGL_1_67) == [(1, 65), (2, 66)]

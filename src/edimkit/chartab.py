@@ -36,11 +36,10 @@ from typing import Optional
 
 import numpy as np
 
-from .abelian import structure
+from .abelian import AbelianStructure, structure
 from .cyclo import Cyclotomic, _expansion
 from .errors import (
     BackendLimit,
-    EmptyRepClass,
     InternalInconsistency,
     NotCentral,
     NonScalar,
@@ -233,21 +232,6 @@ class CharacterTable:
                               mults)
 
 
-@dataclass
-class CentralCharacter:
-    """Character of a central subgroup, stored by values on sorted elements."""
-
-    subgroup: Subgroup
-    conductor: int
-    values: dict  # element index -> root-of-unity exponent (out of conductor)
-
-    def key(self) -> tuple:
-        return tuple(self.values[z] for z in sorted(self.values))
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -408,7 +392,7 @@ def _cache_path(g: FiniteGroup, cache_dir: Optional[str]) -> Path:
     Class representatives are element indices, so a table is only valid for
     the same indexing, which `presentation_digest` determines.
     """
-    key = f"{g.fingerprint(with_generators=False)}_{g.presentation_digest()}"
+    key = f"{g.fingerprint()}_{g.presentation_digest()}"
     return Path(cache_directory(cache_dir)) / f"chartab_{key.replace(':', '_')}.json"
 
 
@@ -458,81 +442,84 @@ def kernel(table: CharacterTable, row: int) -> Subgroup:
                     normal=True)
 
 
-def central_character(table: CharacterTable, row: int,
-                      c: Subgroup) -> CentralCharacter:
-    """Root-of-unity scalar by which each element of a central subgroup acts.
+@dataclass
+class RestrictionData:
+    """Which characters of an abelian normal subgroup appear in which rows."""
 
-    z acts as the scalar zeta^t exactly when all d eigenvalues of z are
-    zeta^t, i.e. when the multiplicity of zeta^t is d.
+    table: CharacterTable
+    subgroup: Subgroup
+    st: AbelianStructure
+    row_chars: list[frozenset]  # row -> set of character coefficient tuples
+    f_min: dict  # char tuple -> (degree, row) of the cheapest containing row
+
+    def f(self, chi: tuple) -> int:
+        return self.f_min[chi][0]
+
+    def f_row(self, chi: tuple) -> int:
+        return self.f_min[chi][1]
+
+
+def all_central_characters(st: AbelianStructure) -> list[tuple]:
+    """Every character of the abelian group with structure st, as coefficient
+    tuples c in its coordinates: lambda_c(x) = zeta_e^(sum_j c_j x_j e/d_j).
+    These are the keys of `RestrictionData`; for the gcd=min condition the
+    group is central."""
+    return list(itertools.product(*[range(d) for d in st.divisors]))
+
+
+def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
+    """Which characters lambda of a appear in which rows.
+
+    The multiplicity (1/|a|) sum_x chi(x) lambda(x^-1) of lambda in a row is
+    a rational integer in [0, deg chi].  It is computed mod a prime q = 1
+    (mod e) above every degree, at one primitive e-th root of unity, as a
+    matrix product.  Every prime dividing |a| divides e, so q does not, and
+    the residue is 0 exactly when the multiplicity is.
     """
-    if not c.is_central():
-        raise NotCentral("central character requires a central subgroup")
     g = table.group
+    st = structure(a)
+    e = table.conductor
     cmap = g.class_map()
-    d = table.degrees[row]
-    e = table.conductor
-    values = {}
-    for z in sorted(c.elements):
-        m = table.multiplicities[cmap[z]][row]
-        scalar = np.flatnonzero(m == d)
-        if not len(scalar):
-            raise NonScalar(f"central element {z} does not act as a scalar on row {row}")
-        values[z] = int(scalar[0]) * (e // len(m))
-    return CentralCharacter(c, e, values)
-
-
-def rep_chi_degrees(table: CharacterTable, c: Subgroup,
-                    chi: CentralCharacter) -> list[int]:
-    """Degrees of the irreducible rows whose central character on c equals chi."""
-    out = []
+    elems = sorted(a.elements)
+    char_tuples = all_central_characters(st)
+    r = len(st.divisors)
+    vectors = np.array([st.to_vector(x) for x in elems],
+                       dtype=np.int64).reshape(len(elems), r)
+    chars = np.array(char_tuples, dtype=np.int64).reshape(len(char_tuples), r)
+    steps = np.array([e // d for d in st.divisors], dtype=np.int64)
+    exps = (vectors * steps) @ chars.T % e
+    q = split_prime(e, max(table.degrees))
+    values = table.values_mod(q, [1])[0][:, [cmap[x] for x in elems]]
+    present = values @ root_powers(e, q)[-exps % e] % q != 0
+    row_chars = []
+    f_min: dict = {}
     for row in range(table.n_classes):
-        cc = central_character(table, row, c)
-        if cc.key() == chi.key():
-            out.append(table.degrees[row])
-    return sorted(out)
-
-
-def f_value(table: CharacterTable, field: FieldDescriptor, c: Subgroup,
-            chi: CentralCharacter) -> int:
-    """Least degree of an irreducible with the given scalar action on c."""
-    if not supports_splitting(table.group, field):
-        raise OutOfScope("field does not split the group")
-    if chi.is_trivial() and not c.elements - {0}:
-        return 1
-    degs = rep_chi_degrees(table, c, chi)
-    if not degs:
-        raise EmptyRepClass("no irreducible row restricts to the given character")
-    return degs[0]
-
-
-def all_central_characters(table: CharacterTable, c: Subgroup) -> list[CentralCharacter]:
-    """Every character of a central subgroup, enumerated through the structure."""
-    st = structure(c)
-    e = table.conductor
-    exp_c = st.exponent
-    if exp_c > 1 and e % exp_c != 0:
-        raise InternalInconsistency("central subgroup exponent does not divide conductor")
-    out = []
-    for coeffs in itertools.product(*[range(d) for d in st.divisors]):
-        values = {}
-        for z in sorted(c.elements):
-            vec = st.to_vector(z)
-            t = sum(cc * v * (e // d) for cc, v, d in
-                    zip(coeffs, vec, st.divisors)) % e if st.divisors else 0
-            values[z] = t
-        out.append(CentralCharacter(c, e, values))
-    return out
+        deg = table.degrees[row]
+        found = [ct for ct, p in zip(char_tuples, present[row]) if p]
+        for ct in found:
+            if ct not in f_min or (deg, row) < f_min[ct]:
+                f_min[ct] = (deg, row)
+        row_chars.append(frozenset(found))
+    return RestrictionData(table, a, st, row_chars, f_min)
 
 
 def gcd_min_condition(table: CharacterTable, field: FieldDescriptor,
                       c: Subgroup) -> bool:
-    """Whether gcd of restricted-degree sets equals their min for all characters of c."""
+    """Whether, for every character of the central subgroup c, the degrees of
+    the rows carrying it have their gcd equal to their min.
+
+    By Schur's lemma c acts on an irreducible row by scalars, so each row
+    carries exactly one character of c, read off `restriction_data`.
+    """
     if not supports_splitting(table.group, field):
         raise OutOfScope("field does not split the group")
-    for chi in all_central_characters(table, c):
-        degs = rep_chi_degrees(table, c, chi)
-        if not degs:
-            continue
-        if math.gcd(*degs) != min(degs):
-            return False
-    return True
+    if not c.is_central():
+        raise NotCentral("the gcd=min condition needs a central subgroup")
+    degrees: dict = {}
+    for row, chars in enumerate(restriction_data(table, c).row_chars):
+        if len(chars) != 1:
+            raise NonScalar(f"row {row} carries {len(chars)} characters "
+                            "of a central subgroup")
+        (chi,) = chars
+        degrees.setdefault(chi, []).append(table.degrees[row])
+    return all(math.gcd(*d) == min(d) for d in degrees.values())

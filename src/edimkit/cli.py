@@ -84,7 +84,7 @@ def cmd_invariants(args) -> dict:
         "semi_faithful": is_semi_faithful(g, f),
         "supports_splitting": supports_splitting(g, f),
         "field": f.spec(),
-        "fingerprint": g.fingerprint(with_generators=False),
+        "fingerprint": g.fingerprint(),
     }
 
 

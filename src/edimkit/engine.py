@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import structure
-from .chartab import character_table, gcd_min_condition
+from .chartab import character_table, gcd_min_condition, restriction_data
 from .errors import (
+    ClosureTooLarge,
     FactConflict,
     HypothesisFailed,
     NotSemiFaithful,
@@ -40,7 +41,6 @@ from .ntheory import factorize, prime_power_base
 from .repdim import (
     check_transfer_hypotheses,
     rdim,
-    restriction_data,
     minimal_basis,
 )
 
@@ -57,7 +57,6 @@ class EdimResult:
     upper: Optional[int]
     trace: list
     field: str
-    conjectural_value: Optional[int] = None
 
     @property
     def exact(self) -> bool:
@@ -70,7 +69,6 @@ class EdimResult:
             "exact": self.exact,
             "field": self.field,
             "trace": [list(t) for t in self.trace],
-            "conjectural_value": self.conjectural_value,
         }
 
 
@@ -139,8 +137,7 @@ class FactStore:
 
     def lookup(self, g: FiniteGroup, f: FieldDescriptor) -> Optional[dict]:
         # facts are keyed by the weak (presentation-independent) fingerprint
-        return self.data.get(self._key(g.fingerprint(with_generators=False),
-                                       f.spec()))
+        return self.data.get(self._key(g.fingerprint(), f.spec()))
 
     # -- (de)serialization ------------------------------------------------
 
@@ -223,11 +220,14 @@ CITE = {
 def edim(g: FiniteGroup, f: FieldDescriptor,
          facts: Optional[FactStore] = None,
          subgroups: str = "cyclic",
-         _depth: int = 0,
-         _seen: frozenset = frozenset()) -> EdimResult:
-    """Certified interval (often exact) for the essential dimension of g over f."""
+         _depth: int = 0) -> EdimResult:
+    """Certified interval (often exact) for the essential dimension of g over f.
+
+    R6, R7 and R10 recurse into a quotient by a nontrivial subgroup and R8
+    into a proper subgroup, so the order strictly shrinks; R9 recurses into
+    a factor of an explicit product.  MAX_RECURSION bounds the depth.
+    """
     b = _Bounds(f.spec())
-    seen = _seen | {g.fingerprint()}
 
     # R1: trivial group
     if g.order == 1:
@@ -304,33 +304,32 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
 
     # R6 / R7: central-subgroup cancellation (R7 = product-with-abelian case)
     if _depth < MAX_RECURSION:
-        _apply_central_transfers(g, f, b, rk_z, facts, subgroups, _depth, seen)
+        _apply_central_transfers(g, f, b, rk_z, facts, subgroups, _depth)
     if b.exact:
         return b.result()
 
     # R8: subgroup lower bounds
     if _depth < MAX_RECURSION and (
             f.characteristic == 0 or g.order % f.characteristic != 0):
-        _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, _depth, seen)
+        _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, _depth)
     if b.exact:
         return b.result()
 
     # R9: product upper bound for explicit direct products
     if _depth < MAX_RECURSION and g.factors is not None:
         g1, g2 = g.factors
-        if g1.fingerprint() not in seen and g2.fingerprint() not in seen:
-            e1 = edim(g1, f, facts, subgroups, _depth + 1, seen)
-            e2 = edim(g2, f, facts, subgroups, _depth + 1, seen)
-            if e1.upper is not None and e2.upper is not None:
-                rk1 = k_center_rank(g1, f)
-                rk2 = k_center_rank(g2, f)
-                b.tighten_upper(e1.upper + e2.upper - rk1 - rk2 + rk_z,
-                                "R9", CITE["R9"],
-                                f"factors bounded by {e1.upper} and {e2.upper}")
+        e1 = edim(g1, f, facts, subgroups, _depth + 1)
+        e2 = edim(g2, f, facts, subgroups, _depth + 1)
+        if e1.upper is not None and e2.upper is not None:
+            rk1 = k_center_rank(g1, f)
+            rk2 = k_center_rank(g2, f)
+            b.tighten_upper(e1.upper + e2.upper - rk1 - rk2 + rk_z,
+                            "R9", CITE["R9"],
+                            f"factors bounded by {e1.upper} and {e2.upper}")
 
     # R10: central elementary abelian p-subgroup in characteristic p
     if _depth < MAX_RECURSION and f.characteristic > 0:
-        _apply_char_p_estimate(g, f, b, facts, subgroups, _depth, seen)
+        _apply_char_p_estimate(g, f, b, facts, subgroups, _depth)
 
     return b.result()
 
@@ -355,7 +354,7 @@ def _central_candidates(g: FiniteGroup) -> list[Subgroup]:
     out = []
     try:
         subs = all_subgroups(zg)
-    except Exception:
+    except ClosureTooLarge:
         return []
     for s in subs:
         elems = frozenset(back[x] for x in s)
@@ -369,16 +368,13 @@ def _central_candidates(g: FiniteGroup) -> list[Subgroup]:
     return out
 
 
-def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
+def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth):
     for h in _central_candidates(g):
         try:
             check_transfer_hypotheses(g, h, f)
         except HypothesisFailed:
             continue
-        qm = g.quotient(h)
-        q = qm.target
-        if q.fingerprint() in seen:
-            continue
+        q = g.quotient(h).target
         rk_q = k_center_rank(q, f)
         # is this the direct-abelian-factor special case?
         rule = "R6"
@@ -394,7 +390,7 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
                     and has_primitive_root(f, g1.exponent())):
                 rule = "R7"
                 detail = f"direct abelian factor of order {h.order}"
-        eq = edim(q, f, facts, subgroups, depth + 1, seen)
+        eq = edim(q, f, facts, subgroups, depth + 1)
         shift = rk_z - rk_q
         b.tighten_lower(eq.lower + shift, rule, CITE[rule],
                         detail + f"; quotient lower {eq.lower}, shift {shift}")
@@ -404,55 +400,47 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth, seen):
         break  # the largest admissible cancellation suffices
 
 
-def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, depth, seen):
+def _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, depth):
     if subgroups == "all" and g.order <= SUBGROUP_LATTICE_LIMIT:
         for elems in all_subgroups(g):
             if 1 < len(elems) < g.order:
-                _subgroup_bound(g, f, b, rk_z, facts, depth, seen, elems)
+                _subgroup_bound(g, f, b, rk_z, facts, depth, elems)
         return
     # The bound depends only on the isomorphism type of H, and cyclic
     # subgroups of one order are isomorphic: a later copy has the same lower
-    # bound and rk Z(H,k) as the first evaluated one, so it can never raise
-    # b.lower, and one candidate per element order leaves the trace as it
-    # was (tests/test_r8_pruning.py compares with the loop over every cyclic
-    # subgroup).  An order counts as done only once a candidate of it was
-    # evaluated: a copy skipped because its (generator-dependent)
-    # fingerprint is in `seen` leaves the next copy to be tried.
+    # bound and rk Z(H,k) as the first one, so it can never raise b.lower,
+    # and one candidate per element order leaves the trace as it was
+    # (tests/test_r8_pruning.py compares with the loop over every cyclic
+    # subgroup).
     orders = g.element_orders()
     done = {1, g.order}
     for x in g.elements():
-        if orders[x] not in done and _subgroup_bound(
-                g, f, b, rk_z, facts, depth, seen, g.subgroup_closure([x])):
+        if orders[x] not in done:
             done.add(orders[x])
+            _subgroup_bound(g, f, b, rk_z, facts, depth, g.subgroup_closure([x]))
 
 
-def _subgroup_bound(g, f, b, rk_z, facts, depth, seen, elems) -> bool:
-    """Apply R8 to the subgroup on elems; False when it is skipped as seen."""
+def _subgroup_bound(g, f, b, rk_z, facts, depth, elems) -> None:
+    """Apply R8 to the subgroup on elems."""
     hg, _ = Subgroup(g, elems).as_group()
-    if hg.fingerprint() in seen:
-        return False
-    eh = edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1, _seen=seen)
+    eh = edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1)
     rk_h = k_center_rank(hg, f)
     bound = eh.lower - rk_h + rk_z
     if bound > b.lower:
         b.tighten_lower(bound, "R8", CITE["R8"],
                         f"subgroup of order {hg.order}: lower {eh.lower}, "
                         f"rk Z(H,k) {rk_h}, rk Z(G,k) {rk_z}")
-    return True
 
 
-def _apply_char_p_estimate(g, f, b, facts, subgroups, depth, seen):
+def _apply_char_p_estimate(g, f, b, facts, subgroups, depth):
     p = f.characteristic
     z = g.center()
     elems = frozenset(x for x in z.elements if g.power(x, p) == 0)
     if len(elems) == 1:
         return
     a = Subgroup(g, elems, normal=True)
-    qm = g.quotient(a)
-    q = qm.target
-    if q.fingerprint() in seen:
-        return
-    eq = edim(q, f, facts, subgroups, depth + 1, seen)
+    q = g.quotient(a).target
+    eq = edim(q, f, facts, subgroups, depth + 1)
     b.tighten_lower(eq.lower, "R10", CITE["R10"],
                     f"quotient by central elementary abelian {p}-group of "
                     f"order {a.order}: lower {eq.lower}")
@@ -481,11 +469,11 @@ def covdim(g: FiniteGroup, f: FieldDescriptor,
     if z_nontrivial:
         trace = e.trace + [("COV", CITE["COV"],
                             "scalar center nontrivial", "covdim = edim")]
-        return EdimResult(e.lower, e.upper, trace, f.spec(), e.conjectural_value)
+        return EdimResult(e.lower, e.upper, trace, f.spec())
     trace = e.trace + [("COV", CITE["COV"],
                         "scalar center trivial", "covdim = edim + 1")]
     upper = None if e.upper is None else e.upper + 1
-    return EdimResult(e.lower + 1, upper, trace, f.spec(), e.conjectural_value)
+    return EdimResult(e.lower + 1, upper, trace, f.spec())
 
 
 # ---------------------------------------------------------------------------

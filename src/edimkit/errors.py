@@ -49,10 +49,6 @@ class OutOfScope(EdimkitError):
     """Requested value is not certified under the given field."""
 
 
-class EmptyRepClass(EdimkitError):
-    """No irreducible representation restricts to the given character."""
-
-
 class HypothesisFailed(EdimkitError):
     """A theorem hypothesis required by this code path does not hold."""
 

@@ -456,21 +456,15 @@ class FiniteGroup:
             target = _tabulate(target)
         return QuotientMap(self, target, proj.tolist())
 
-    def fingerprint(self, with_generators: bool = True) -> str:
-        """Canonical fingerprint: order, class sizes, element-order histogram
-        and (optionally) a hash of the generator data."""
+    def fingerprint(self) -> str:
+        """Presentation-independent fingerprint: a hash of the order, the
+        class sizes and the element-order histogram."""
         if self._fingerprint is None:
             sizes = sorted(len(c) for c in self.conjugacy_classes())
             hist = sorted(self.element_orders())
             h = hashlib.sha256()
             h.update(json.dumps([self.order, sizes, hist]).encode())
             self._fingerprint = f"{self.order}:{h.hexdigest()[:16]}"
-        if with_generators:
-            g = hashlib.sha256()
-            g.update(json.dumps(self.generators).encode())
-            if self.perms is not None:
-                g.update(json.dumps(self.perms[:1].tolist()).encode())
-            return f"{self._fingerprint}:{g.hexdigest()[:8]}"
         return self._fingerprint
 
     def presentation_digest(self) -> str:

@@ -14,17 +14,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .abelian import (
-    AbelianStructure,
     dual_module,
     module_from_subgroup,
     rank_zg,
-    structure,
     submodule_span,
 )
-from .chartab import CharacterTable, character_table, kernel, root_powers
+from .chartab import (
+    CharacterTable,
+    character_table,
+    kernel,
+    restriction_data,
+)
 from .errors import (
     HypothesisFailed,
     InternalInconsistency,
@@ -41,7 +42,7 @@ from .fields import (
     supports_splitting,
 )
 from .groups import FiniteGroup, Subgroup, all_subgroups
-from .ntheory import prime_power_base, split_prime
+from .ntheory import prime_power_base
 
 PATH_C_BUDGET = 10_000_000
 ORACLE_ROW_LIMIT = 40
@@ -85,64 +86,6 @@ def min_components_oracle(g: FiniteGroup, f: FieldDescriptor) -> int:
             if acc == frozenset([0]):
                 return r
     raise InternalInconsistency("no faithful row combination found")
-
-
-# ---------------------------------------------------------------------------
-# restriction data: characters of an abelian subgroup inside irreducible rows
-
-
-@dataclass
-class RestrictionData:
-    """Which characters of an abelian normal subgroup appear in which rows."""
-
-    table: CharacterTable
-    subgroup: Subgroup
-    st: AbelianStructure
-    row_chars: list[frozenset]  # row -> set of character coefficient tuples
-    f_min: dict  # char tuple -> (degree, row) of the cheapest containing row
-
-    def f(self, chi: tuple) -> int:
-        return self.f_min[chi][0]
-
-    def f_row(self, chi: tuple) -> int:
-        return self.f_min[chi][1]
-
-
-def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
-    """Which characters lambda of a appear in which rows.
-
-    The multiplicity (1/|a|) sum_x chi(x) lambda(x^-1) of lambda in a row is
-    a rational integer in [0, deg chi].  It is computed mod a prime q = 1
-    (mod e) above every degree, at one primitive e-th root of unity, as a
-    matrix product.  Every prime dividing |a| divides e, so q does not, and
-    the residue is 0 exactly when the multiplicity is.
-    """
-    g = table.group
-    st = structure(a)
-    e = table.conductor
-    cmap = g.class_map()
-    elems = sorted(a.elements)
-    char_tuples = list(itertools.product(*[range(d) for d in st.divisors]))
-    r = len(st.divisors)
-    vectors = np.array([st.to_vector(x) for x in elems],
-                       dtype=np.int64).reshape(len(elems), r)
-    chars = np.array(char_tuples, dtype=np.int64).reshape(len(char_tuples), r)
-    steps = np.array([e // d for d in st.divisors], dtype=np.int64)
-    # lambda_c(x) = zeta_e^(sum_j c_j x_j e/d_j)
-    exps = (vectors * steps) @ chars.T % e
-    q = split_prime(e, max(table.degrees))
-    values = table.values_mod(q, [1])[0][:, [cmap[x] for x in elems]]
-    present = values @ root_powers(e, q)[-exps % e] % q != 0
-    row_chars = []
-    f_min: dict = {}
-    for row in range(table.n_classes):
-        deg = table.degrees[row]
-        found = [ct for ct, p in zip(char_tuples, present[row]) if p]
-        for ct in found:
-            if ct not in f_min or (deg, row) < f_min[ct]:
-                f_min[ct] = (deg, row)
-        row_chars.append(frozenset(found))
-    return RestrictionData(table, a, st, row_chars, f_min)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_criterion_09_double_cover_of_a8():
         q = g.quotient(g.center()).target
         assert q.order == 20160
         store = FactStore()
-        store.add(q.fingerprint(with_generators=False), f2.spec(), 2, 3,
+        store.add(q.fingerprint(), f2.spec(), 2, 3,
                   "known interval for the simple quotient")
         r2 = edim(g, f2, facts=store)
         assert (r2.lower, r2.upper) == (2, 4), r2.as_dict()

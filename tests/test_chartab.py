@@ -17,12 +17,10 @@ from edimkit.chartab import (
     _class_constants,
     _dixon_schneider,
     all_central_characters,
-    central_character,
     character_table,
-    f_value,
     gcd_min_condition,
     kernel,
-    rep_chi_degrees,
+    restriction_data,
 )
 from edimkit.cyclo import Cyclotomic
 from edimkit.errors import (
@@ -125,16 +123,13 @@ def test_central_characters_q8():
     g = named_group("Q8")
     t = character_table(g, use_cache=False)
     z = g.center()
-    keys = set()
-    for i in range(t.n_classes):
-        cc = central_character(t, i, z)
-        keys.add(cc.key())
-    assert len(keys) == 2  # trivial and the faithful scalar action
-    chars = all_central_characters(t, z)
-    assert len(chars) == 2
-    for chi in chars:
-        degs = rep_chi_degrees(t, z, chi)
-        assert degs in ([1, 1, 1, 1], [2])
+    rd = restriction_data(t, z)
+    chars = all_central_characters(rd.st)
+    assert len(chars) == 2  # trivial and the faithful scalar action
+    assert all(len(found) == 1 for found in rd.row_chars)
+    degs = sorted(sorted(t.degrees[i] for i, found in enumerate(rd.row_chars)
+                         if chi in found) for chi in chars)
+    assert degs == [[1, 1, 1, 1], [2]]
 
 
 @pytest.mark.parametrize("fixture", SMALL_FIXTURES)
@@ -143,13 +138,15 @@ def test_kernels_and_central_characters_agree_with_values(fixture):
     g = load_group(os.path.join(FIXTURES, fixture))
     t = character_table(g, use_cache=False)
     values, cmap, e, z = t.cyclotomic_values(), g.class_map(), t.conductor, g.center()
+    rd = restriction_data(t, z)
     for i, d in enumerate(t.degrees):
         assert kernel(t, i).elements == \
             {x for x in g.elements() if values[i][cmap[x]] == d}
-        assert central_character(t, i, z).values == {
-            x: next(s for s in range(e)
-                    if values[i][cmap[x]] == Cyclotomic.zeta_power(e, s) * d)
-            for x in z.elements}
+        (chi,) = rd.row_chars[i]  # one character of the center per row
+        for x in z.elements:
+            s = sum(c * v * (e // n) for c, v, n in
+                    zip(chi, rd.st.to_vector(x), rd.st.divisors)) % e
+            assert values[i][cmap[x]] == Cyclotomic.zeta_power(e, s) * d
 
 
 def test_central_character_requires_central():
@@ -157,27 +154,30 @@ def test_central_character_requires_central():
     t = character_table(g, use_cache=False)
     a3 = g.socle()
     with pytest.raises(NotCentral):
-        central_character(t, 0, a3)
+        gcd_min_condition(t, algebraically_closed(0), a3)
 
 
-def test_noncentral_scalar_error():
+def test_noncentral_scalar_error(monkeypatch):
+    # a row carrying two characters of a central subgroup contradicts Schur's
+    # lemma: the table is wrong, and gcd_min_condition says so
     g = named_group("D4")
     t = character_table(g, use_cache=False)
     z = g.center()
-    # central character is fine on the center for every row
-    for i in range(t.n_classes):
-        central_character(t, i, z)
+    rd = restriction_data(t, z)
+    assert all(len(found) == 1 for found in rd.row_chars)
+    rd.row_chars[-1] = frozenset(all_central_characters(rd.st))
+    monkeypatch.setattr(chartab, "restriction_data", lambda table, c: rd)
+    with pytest.raises(NonScalar):
+        gcd_min_condition(t, algebraically_closed(0), z)
 
 
 def test_f_value_and_gcd_min():
     k4 = cyclotomic_field(4)
     g = named_group("Q8")
     t = character_table(g, use_cache=False)
-    z = g.center()
-    values = sorted(f_value(t, k4, z, chi)
-                    for chi in all_central_characters(t, z))
-    assert values == [1, 2]
-    assert gcd_min_condition(t, k4, z)
+    rd = restriction_data(t, g.center())
+    assert sorted(rd.f(chi) for chi in all_central_characters(rd.st)) == [1, 2]
+    assert gcd_min_condition(t, k4, g.center())
     heis = named_group("Heis3")
     th = character_table(heis, use_cache=False)
     assert gcd_min_condition(th, cyclotomic_field(3), heis.center())
@@ -186,10 +186,8 @@ def test_f_value_and_gcd_min():
 def test_f_value_requires_splitting():
     g = named_group("Q8")
     t = character_table(g, use_cache=False)
-    z = g.center()
-    chi = all_central_characters(t, z)[0]
     with pytest.raises(OutOfScope):
-        f_value(t, rationals(), z, chi)
+        gcd_min_condition(t, rationals(), g.center())
 
 
 def test_cache_round_trip(tmp_path):
@@ -455,8 +453,7 @@ def test_cache_key_separates_presentations(tmp_path):
     g2 = _regular(direct_product(named_group("C2"), quaternion(8)))
     # equal weak fingerprints and generator indices: the old key collided
     assert g1.generators == g2.generators == [1, 2, 3]
-    assert g1.fingerprint(with_generators=False) == \
-        g2.fingerprint(with_generators=False)
+    assert g1.fingerprint() == g2.fingerprint()
     assert _cache_path(g1, str(tmp_path)) != _cache_path(g2, str(tmp_path))
     character_table(g1, cache_dir=str(tmp_path))
     t2 = character_table(g2, cache_dir=str(tmp_path))

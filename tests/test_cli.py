@@ -166,7 +166,7 @@ def test_facts_merge_show_and_conflict(capsys, tmp_path):
 def test_edim_with_facts_file(capsys, tmp_path):
     from edimkit.named import named_group
 
-    fp = named_group("C2xC2").fingerprint(with_generators=False)
+    fp = named_group("C2xC2").fingerprint()
     f = tmp_path / "facts.json"
     f.write_text(json.dumps([
         {"group": fp, "field": "Q", "lower": 2, "upper": 2, "source": "lit"}]))

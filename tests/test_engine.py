@@ -2,6 +2,7 @@
 
 import pytest
 
+from edimkit import engine
 from edimkit.engine import (
     ConjecturalValue,
     EdimResult,
@@ -10,7 +11,14 @@ from edimkit.engine import (
     covdim,
     edim,
 )
-from edimkit.errors import FactConflict, HypothesisFailed, NotSemiFaithful
+from edimkit.errors import (
+    ClosureTooLarge,
+    EdimkitError,
+    FactConflict,
+    HypothesisFailed,
+    InternalInconsistency,
+    NotSemiFaithful,
+)
 from edimkit.fields import (
     algebraically_closed,
     cyclotomic_field,
@@ -20,7 +28,7 @@ from edimkit.fields import (
 )
 from edimkit.abelian import structure
 from edimkit.groups import Subgroup, direct_product
-from edimkit.named import cyclic, named_group
+from edimkit.named import corpus, cyclic, named_group
 
 KBAR = algebraically_closed(0)
 
@@ -146,7 +154,7 @@ def test_fact_store_round_trip(tmp_path):
 
 def test_fact_injection_and_conflict_with_derivation():
     g = named_group("C2xC2")
-    fp = g.fingerprint(with_generators=False)
+    fp = g.fingerprint()
     s = FactStore()
     s.add(fp, "Q", 2, 2, "literature")
     r = edim(g, rationals(), facts=s)
@@ -211,3 +219,83 @@ def test_r3_r5_consistency():
     from edimkit.repdim import rdim
 
     assert rdim(g, k4).value == 2
+
+
+# ---------------------------------------------------------------------------
+# recursion: every nested call goes to a smaller group
+
+RECURSION_FIELDS = ["Q", "Q(zeta_12)", "algclosed:0", "char=2;zeta=1",
+                    "char=3;zeta=4"]
+# the corpus and the products of the benchmark's engine pool, except C3^4,
+# C5^3 and C5^4: over a field without their roots of unity, R6 tries every
+# central subgroup and rebuilds a subgroup lattice for each (about a minute)
+RECURSION_GROUPS = sorted(set(corpus()) | {
+    "C2xC2xC2xC2", "C3xC3xC3", "C5", "C5xC5", "Q8xD4", "Q8xC4", "D4xC2",
+    "Heis3xC3", "S3xS3", "Q8xS3", "S4xS4", "A5xS3", "S3xS3xS3", "C3xS3"})
+
+
+def recursion_edges(g, field, subgroups):
+    """(caller, callee) group pairs of every nested edim call."""
+    stack, edges = [], []
+    real_edim = engine.edim
+
+    def spy(h, *args, **kwargs):
+        if stack:
+            edges.append((stack[-1], h))
+        stack.append(h)
+        try:
+            return real_edim(h, *args, **kwargs)
+        finally:
+            stack.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "edim", spy)
+        try:
+            engine.edim(g, parse_field(field), subgroups=subgroups)
+        except EdimkitError:
+            pass
+    return edges
+
+
+@pytest.mark.parametrize("subgroups", ["cyclic", "all"])
+@pytest.mark.parametrize("field", RECURSION_FIELDS)
+def test_every_recursion_goes_to_a_smaller_group(field, subgroups):
+    for name in RECURSION_GROUPS:
+        for caller, callee in recursion_edges(named_group(name), field, subgroups):
+            assert callee.order < caller.order, (name, caller, callee)
+
+
+def test_only_a_trivial_factor_keeps_the_order():
+    # R9 recurses into a factor, which has the product's order only when the
+    # other factor is trivial
+    edges = recursion_edges(named_group("C1xQ8"), "char=2;zeta=1", "cyclic")
+    assert edges
+    for caller, callee in edges:
+        assert callee.order < caller.order or \
+            (caller.factors is not None and callee is caller.factors[1])
+
+
+def test_r9_bounds_a_product_with_a_trivial_factor():
+    r = edim(named_group("C1xQ8"), parse_field("char=2;zeta=1"))
+    assert (r.lower, r.upper) == (1, 2)
+    assert r.trace[-1][0] == "R9"
+    assert r.trace[-1][2:] == ("factors bounded by 0 and 2", "upper <= 2")
+
+
+def test_central_candidates_let_bugs_through(monkeypatch):
+    # a closure over the cap is a limit and leaves R6/R7 out; any other
+    # error is a bug and must not be swallowed
+    g, f = named_group("Q8xC3"), cyclotomic_field(12)
+
+    def too_large(_):
+        raise ClosureTooLarge("cap")
+
+    monkeypatch.setattr(engine, "all_subgroups", too_large)
+    assert not any(t[0] in ("R6", "R7") for t in edim(g, f).trace)
+
+    def broken(_):
+        raise InternalInconsistency("bug")
+
+    monkeypatch.setattr(engine, "all_subgroups", broken)
+    with pytest.raises(InternalInconsistency):
+        edim(g, f)

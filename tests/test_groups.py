@@ -219,10 +219,8 @@ def test_two_transitivity():
 def test_fingerprint_weak_is_presentation_independent():
     a = named_group("S3")
     b = dihedral(3)  # same abstract group, different construction
-    assert a.fingerprint(with_generators=False) == \
-        b.fingerprint(with_generators=False)
-    assert a.fingerprint(with_generators=False) != \
-        named_group("C6").fingerprint(with_generators=False)
+    assert a.fingerprint() == b.fingerprint()
+    assert a.fingerprint() != named_group("C6").fingerprint()
 
 
 def test_subgroup_helpers():

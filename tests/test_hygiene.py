@@ -1,12 +1,18 @@
 """Static hygiene checks on the package source (stdlib ast, no linter needed)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "edimkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "edimkit"
 MODULES = sorted(SRC.glob("*.py"))
+# where a definition of the package may be used; the benchmark's tracer
+# names functions in strings ("FiniteGroup.fingerprint")
+USERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -59,3 +65,55 @@ def test_tables_use_no_fractions(name):
     modules |= {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     assert "fractions" not in modules
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names read in tree: identifiers, attributes, and the dotted parts of
+    string constants that look like qualified names."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and all(p.isidentifier() for p in node.value.split(".")):
+            out.update(node.value.split("."))
+    return out
+
+
+def dead_definitions(modules: list[Path], users: list[Path]) -> list[str]:
+    """Functions and classes (dunders aside) of modules that no file of users
+    refers to, not counting a definition's references to itself."""
+    refs: Counter = Counter()
+    for path in users:
+        refs += _references(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if refs[name] - _references(node)[name] <= 0:
+                dead.append(f"{path.name}:{node.lineno}: {name}")
+    return dead
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(MODULES, USERS) == []
+
+
+def test_checker_flags_a_dead_definition(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("class CentralCharacter:\n    def key(self):\n        return 1\n\n"
+                   "def walk(n):\n    return walk(n - 1) if n else 0\n\n"
+                   "def used():\n    return 2\n")
+    user = tmp_path / "user.py"
+    user.write_text("from m import used, walk\n"
+                    "SPANS = [('m', 'm', 'Other.key')]\nused()\n")
+    assert dead_definitions([mod], [mod, user]) == [
+        "m.py:1: CentralCharacter", "m.py:5: walk"]

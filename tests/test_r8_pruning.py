@@ -15,7 +15,7 @@ from edimkit.named import named_group
 FIELDS = ["Q", "algclosed:0", "char=2;zeta=1"]
 
 
-def every_cyclic_subgroup(g, f, b, rk_z, facts, subgroups, depth, seen):
+def every_cyclic_subgroup(g, f, b, rk_z, facts, subgroups, depth):
     """R8 over every distinct proper cyclic subgroup (or, in "all" mode, every
     proper subgroup), in order of its first generator."""
     candidates = []
@@ -32,10 +32,7 @@ def every_cyclic_subgroup(g, f, b, rk_z, facts, subgroups, depth, seen):
                 candidates.append(s)
     for elems in candidates:
         hg, _ = Subgroup(g, elems).as_group()
-        if hg.fingerprint() in seen:
-            continue
-        eh = engine.edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1,
-                         _seen=seen)
+        eh = engine.edim(hg, f, facts, subgroups="cyclic", _depth=depth + 1)
         rk_h = k_center_rank(hg, f)
         bound = eh.lower - rk_h + rk_z
         if bound > b.lower:
@@ -97,26 +94,3 @@ def test_one_candidate_per_element_order():
         engine.edim(g, parse_field("Q"))
     assert calls.count(1) <= 5 + 2  # plus the two factors of R9
 
-
-def test_a_copy_skipped_as_seen_leaves_its_order_open():
-    # Q8's cyclic subgroups of order 4 come with two generator-dependent
-    # fingerprints: with the first copy's in `seen`, a later copy is evaluated
-    g = named_group("Q8")
-    orders = g.element_orders()
-    x = next(x for x in g.elements() if orders[x] == 4)
-    first, _ = Subgroup(g, g.subgroup_closure([x])).as_group()
-    evaluated = []
-    real_edim = engine.edim
-
-    def spy(h, *args, **kwargs):
-        if kwargs.get("_depth") == 1:
-            evaluated.append((h.order, h.fingerprint()))
-        return real_edim(h, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "edim", spy)
-        engine._apply_subgroup_bounds(g, parse_field("Q"), engine._Bounds("Q"), 0,
-                                      None, "cyclic", 0,
-                                      frozenset({first.fingerprint()}))
-    assert sorted(o for o, _ in evaluated) == [2, 4]
-    assert first.fingerprint() not in [fp for _, fp in evaluated]

@@ -127,6 +127,28 @@ def structure(a: Subgroup) -> AbelianStructure:
     return AbelianStructure(a, divisors, new_gens, to_vec, from_vec)
 
 
+def rank(a: Subgroup) -> int:
+    """Least number of generators of an abelian subgroup, read off element orders.
+
+    a must be abelian.  Write A = Z/d_1 x ... x Z/d_r with 1 < d_1 | ... | d_r;
+    its rank r is the number of nontrivial invariant factors.  For a prime p,
+    the elements of order dividing p form the product of the Z/gcd(p, d_i),
+    of order p^r_p with r_p = #{i : p | d_i}.  So r_p <= r for every p, and a
+    prime p dividing d_1 divides every d_i, so r_p = r: the rank is the
+    largest r_p over the primes p dividing |A|, and 0 for the trivial group.
+    """
+    orders = a.parent.element_orders()
+    best = 0
+    for p, _ in factorize(a.order):
+        size = sum(1 for x in a.elements if orders[x] in (1, p))  # p^r_p
+        r = 0
+        while size > 1:
+            size //= p
+            r += 1
+        best = max(best, r)
+    return best
+
+
 @dataclass
 class GModule:
     """Finite abelian group in divisor coordinates with an action by matrices.

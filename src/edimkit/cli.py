@@ -12,9 +12,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
-from .abelian import structure
+from .abelian import rank
 from .chartab import cache_directory, character_table
 from .engine import FactStore, covdim, edim
 from .errors import EdimkitError, FactConflict, OutOfScope, ParseError
@@ -80,7 +81,7 @@ def cmd_invariants(args) -> dict:
         "socle_abelian": soc.is_abelian(),
         "socle_central": soc.is_central(),
         "k_center_order": zk.order,
-        "k_center_rank": structure(zk).rank(),
+        "k_center_rank": rank(zk),
         "semi_faithful": is_semi_faithful(g, f),
         "supports_splitting": supports_splitting(g, f),
         "field": f.spec(),
@@ -191,80 +192,105 @@ def cmd_cache(args) -> dict:
 # argument grammar
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_common(p, field=True, facts=False):
+    if field:
+        p.add_argument("--field", default="Q", help="field spec, e.g. "
+                       "Q, Q(zeta_12), algclosed:0, char=2;zeta=7")
+    p.add_argument("--pretty", action="store_true")
+    if facts:
+        p.add_argument("--facts", default=None,
+                       help="JSON facts file with literature intervals")
+        p.add_argument("--subgroups", default="cyclic",
+                       choices=["cyclic", "all"],
+                       help="subgroup enumeration for lower bounds")
+
+
+def _group_args(p):
+    p.add_argument("group")
+    _add_common(p)
+
+
+def _interval_args(p):
+    p.add_argument("group")
+    _add_common(p, facts=True)
+
+
+def _chartab_args(p):
+    p.add_argument("group")
+    p.add_argument("--full", action="store_true", help="include all values")
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--no-cache", action="store_true")
+    _add_common(p, field=False)
+
+
+def _mhom_args(p):
+    p.add_argument("action", choices=["homogenize"])
+    p.add_argument("file")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="comma-separated one-parameter subgroup weights")
+    _add_common(p, field=False)
+
+
+def _facts_args(p):
+    p.add_argument("action", choices=["merge", "show"])
+    p.add_argument("store")
+    p.add_argument("new", nargs="?")
+    _add_common(p, field=False)
+
+
+def _cache_args(p):
+    p.add_argument("action", choices=["path", "clear"])
+    p.add_argument("--cache-dir", default=None)
+    _add_common(p, field=False)
+
+
+# verb -> (help text, function adding its arguments, command)
+VERBS = {
+    "invariants": ("structural invariants of a group", _group_args,
+                   cmd_invariants),
+    "chartab": ("exact character table", _chartab_args, cmd_chartab),
+    "rdim": ("minimal faithful representation dimension", _group_args,
+             cmd_rdim),
+    "edim": ("essential-dimension interval", _interval_args, cmd_edim),
+    "covdim": ("covariant-dimension interval", _interval_args, cmd_covdim),
+    "mhom": ("multihomogenization of a graded map", _mhom_args, cmd_mhom),
+    "facts": ("manage a facts store", _facts_args, cmd_facts),
+    "cache": ("character-table cache admin", _cache_args, cmd_cache),
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument grammar: every verb, or only `verb` when it is known.
+
+    A call names one verb, so it needs only that subparser.  The metavar
+    keeps the top-level usage line listing every verb, as the full tree
+    prints it; the full tree itself keeps argparse's default, which its
+    "invalid choice" and "required: verb" messages name.
+    """
     ap = argparse.ArgumentParser(
         prog="edimkit",
         description="exact representation invariants and essential-dimension "
                     "bounds for finite groups")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, field=True, facts=False):
-        if field:
-            p.add_argument("--field", default="Q", help="field spec, e.g. "
-                           "Q, Q(zeta_12), algclosed:0, char=2;zeta=7")
-        p.add_argument("--pretty", action="store_true")
-        if facts:
-            p.add_argument("--facts", default=None,
-                           help="JSON facts file with literature intervals")
-            p.add_argument("--subgroups", default="cyclic",
-                           choices=["cyclic", "all"],
-                           help="subgroup enumeration for lower bounds")
-
-    p = sub.add_parser("invariants", help="structural invariants of a group")
-    p.add_argument("group")
-    add_common(p)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("chartab", help="exact character table")
-    p.add_argument("group")
-    p.add_argument("--full", action="store_true", help="include all values")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    add_common(p, field=False)
-    p.set_defaults(fn=cmd_chartab)
-
-    p = sub.add_parser("rdim", help="minimal faithful representation dimension")
-    p.add_argument("group")
-    add_common(p)
-    p.set_defaults(fn=cmd_rdim)
-
-    p = sub.add_parser("edim", help="essential-dimension interval")
-    p.add_argument("group")
-    add_common(p, facts=True)
-    p.set_defaults(fn=cmd_edim)
-
-    p = sub.add_parser("covdim", help="covariant-dimension interval")
-    p.add_argument("group")
-    add_common(p, facts=True)
-    p.set_defaults(fn=cmd_covdim)
-
-    p = sub.add_parser("mhom", help="multihomogenization of a graded map")
-    p.add_argument("action", choices=["homogenize"])
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="comma-separated one-parameter subgroup weights")
-    add_common(p, field=False)
-    p.set_defaults(fn=cmd_mhom)
-
-    p = sub.add_parser("facts", help="manage a facts store")
-    p.add_argument("action", choices=["merge", "show"])
-    p.add_argument("store")
-    p.add_argument("new", nargs="?")
-    add_common(p, field=False)
-    p.set_defaults(fn=cmd_facts)
-
-    p = sub.add_parser("cache", help="character-table cache admin")
-    p.add_argument("action", choices=["path", "clear"])
-    p.add_argument("--cache-dir", default=None)
-    add_common(p, field=False)
-    p.set_defaults(fn=cmd_cache)
-
+    if verb in VERBS:
+        names = [verb]
+        sub = ap.add_subparsers(dest="verb", required=True,
+                                metavar="{" + ",".join(VERBS) + "}")
+    else:
+        names = list(VERBS)
+        sub = ap.add_subparsers(dest="verb", required=True)
+    for name in names:
+        help_text, add_arguments, fn = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import structure
+from .abelian import rank
 from .chartab import character_table, gcd_min_condition, restriction_data
 from .errors import (
     ClosureTooLarge,
@@ -136,7 +136,10 @@ class FactStore:
             self.data[key] = {"lower": lower, "upper": upper, "source": source}
 
     def lookup(self, g: FiniteGroup, f: FieldDescriptor) -> Optional[dict]:
-        # facts are keyed by the weak (presentation-independent) fingerprint
+        # facts are keyed by the weak (presentation-independent) fingerprint;
+        # an empty store matches nothing, so it needs none
+        if not self.data:
+            return None
         return self.data.get(self._key(g.fingerprint(), f.spec()))
 
     # -- (de)serialization ------------------------------------------------
@@ -247,12 +250,10 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
             b.tighten_upper(hit["upper"], "R11", CITE["R11"], hit["source"])
 
     # R3: abelian with enough roots of unity
-    if g.is_abelian():
-        st = structure(Subgroup(g, frozenset(g.elements()), normal=True))
-        if has_primitive_root(f, st.exponent):
-            r = st.rank()
-            b.tighten_lower(r, "R3", CITE["R3"], f"abelian of rank {r}")
-            b.tighten_upper(r, "R3", CITE["R3"], f"abelian of rank {r}")
+    if g.is_abelian() and has_primitive_root(f, g.exponent()):
+        r = rank(Subgroup(g, frozenset(g.elements()), normal=True))
+        b.tighten_lower(r, "R3", CITE["R3"], f"abelian of rank {r}")
+        b.tighten_upper(r, "R3", CITE["R3"], f"abelian of rank {r}")
     if b.exact:
         return b.result()
 
@@ -318,8 +319,8 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     # R9: product upper bound for explicit direct products
     if _depth < MAX_RECURSION and g.factors is not None:
         g1, g2 = g.factors
-        e1 = edim(g1, f, facts, subgroups, _depth + 1)
-        e2 = edim(g2, f, facts, subgroups, _depth + 1)
+        e1 = edim(g1, f, facts, subgroups, _depth=_depth + 1)
+        e2 = edim(g2, f, facts, subgroups, _depth=_depth + 1)
         if e1.upper is not None and e2.upper is not None:
             rk1 = k_center_rank(g1, f)
             rk2 = k_center_rank(g2, f)
@@ -390,7 +391,7 @@ def _apply_central_transfers(g, f, b, rk_z, facts, subgroups, depth):
                     and has_primitive_root(f, g1.exponent())):
                 rule = "R7"
                 detail = f"direct abelian factor of order {h.order}"
-        eq = edim(q, f, facts, subgroups, depth + 1)
+        eq = edim(q, f, facts, subgroups, _depth=depth + 1)
         shift = rk_z - rk_q
         b.tighten_lower(eq.lower + shift, rule, CITE[rule],
                         detail + f"; quotient lower {eq.lower}, shift {shift}")
@@ -440,7 +441,7 @@ def _apply_char_p_estimate(g, f, b, facts, subgroups, depth):
         return
     a = Subgroup(g, elems, normal=True)
     q = g.quotient(a).target
-    eq = edim(q, f, facts, subgroups, depth + 1)
+    eq = edim(q, f, facts, subgroups, _depth=depth + 1)
     b.tighten_lower(eq.lower, "R10", CITE["R10"],
                     f"quotient by central elementary abelian {p}-group of "
                     f"order {a.order}: lower {eq.lower}")
@@ -524,6 +525,6 @@ def conjectural_edim(g: FiniteGroup, f: FieldDescriptor) -> ConjecturalValue:
         rk_p = len(rd.st.divisors)
         per_prime[p] = (dim_vp, rk_p)
         total += dim_vp - rk_p
-    soc_rank = structure(soc).rank()
+    soc_rank = rank(soc)
     return ConjecturalValue(total + soc_rank, True, per_prime, soc_rank)
 

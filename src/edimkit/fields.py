@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .abelian import structure
+from .abelian import rank
 from .errors import InternalInconsistency, ParseError
 from .groups import FiniteGroup, Subgroup
 from .ntheory import is_prime, prime_power_base
@@ -129,7 +129,7 @@ def k_center(g: FiniteGroup, f: FieldDescriptor) -> Subgroup:
 
 
 def k_center_rank(g: FiniteGroup, f: FieldDescriptor) -> int:
-    return structure(k_center(g, f)).rank()
+    return rank(k_center(g, f))
 
 
 def is_semi_faithful(g: FiniteGroup, f: FieldDescriptor) -> bool:

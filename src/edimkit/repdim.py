@@ -335,6 +335,12 @@ def check_transfer_hypotheses(g: FiniteGroup, h: Subgroup,
     comm = g.commutator_subgroup()
     if (h.elements & comm.elements) != frozenset([0]):
         raise HypothesisFailed("H intersects the commutator subgroup trivially")
+    # a direct factor containing H has an exponent divisible by exp(H), so a
+    # field without a primitive exp(H)-th root fails before any lattice is built
+    exp_h = math.lcm(*(g.element_order(x) for x in h.elements))
+    if not has_primitive_root(f, exp_h):
+        raise HypothesisFailed(
+            f"k contains a primitive root of unity of order {exp_h}")
     if comm.order == 1:
         # g is abelian: it is its own abelianization
         gab, image = g, h.elements

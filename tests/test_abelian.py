@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from edimkit.abelian import (
     GModule,
@@ -14,12 +16,13 @@ from edimkit.abelian import (
     integer_kernel_basis,
     module_from_subgroup,
     pairing,
+    rank,
     rank_zg,
     structure,
     submodule_span,
 )
 from edimkit.errors import PreconditionViolated
-from edimkit.groups import Subgroup, direct_product
+from edimkit.groups import Subgroup, all_subgroups, direct_product
 from edimkit.named import corpus, cyclic, dihedral, named_group
 from edimkit.snf import mat_mul, smith_normal_form
 
@@ -103,6 +106,35 @@ def test_structure_divisors(name, divs):
         for y in g.elements():
             assert st.add(st.to_vector(x), st.to_vector(y)) == \
                 st.to_vector(g.mult(x, y))
+
+
+
+def test_rank_matches_structure_on_every_abelian_subgroup():
+    groups = dict(corpus())
+    for name in ["C2xC2xC2xC2", "C3xC3xC3", "C5xC5xC5", "C4xC2xC2", "C6xC6"]:
+        groups[name] = named_group(name)
+    checked = 0
+    for name, g in groups.items():
+        for elems in all_subgroups(g):
+            a = Subgroup(g, elems)
+            if a.is_abelian():
+                assert rank(a) == structure(a).rank(), (name, sorted(elems))
+                checked += 1
+    assert checked > 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=hst.lists(hst.integers(1, 12), min_size=1, max_size=4)
+       .filter(lambda ns: math.prod(ns) <= 600))
+def test_rank_of_a_product_of_cyclic_groups(orders):
+    # the rank of C_n1 x ... x C_nk is the largest number of the n_i that one
+    # prime divides
+    g = cyclic(orders[0])
+    for n in orders[1:]:
+        g = direct_product(g, cyclic(n))
+    primes = {p for p in range(2, 13) if any(n % p == 0 for n in orders)}
+    expected = max((sum(n % p == 0 for n in orders) for p in primes), default=0)
+    assert rank(whole(g)) == expected
 
 
 def test_module_action_is_conjugation():

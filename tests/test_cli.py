@@ -2,12 +2,13 @@
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
 import edimkit
-from edimkit.cli import main
+from edimkit.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(edimkit.__file__), "fixtures")
 
@@ -174,6 +175,33 @@ def test_edim_with_facts_file(capsys, tmp_path):
     assert code == 0 and doc["exact"]
 
 
+def test_empty_fact_store_computes_no_fingerprint(capsys, tmp_path, monkeypatch):
+    # S3 over Q takes no character table (whose cache key is a fingerprint),
+    # so every fingerprint here comes from a fact-store lookup
+    from edimkit.groups import FiniteGroup
+    from edimkit.named import named_group
+
+    fp = named_group("S3").fingerprint()
+    calls = []
+    real = FiniteGroup.fingerprint
+
+    def spy(g):
+        calls.append(g.order)
+        return real(g)
+
+    monkeypatch.setattr(FiniteGroup, "fingerprint", spy)
+    code, doc = run(capsys, "edim", fx("s3.json"))
+    assert code == 0 and doc["exact"]
+    assert calls == []
+    f = tmp_path / "facts.json"
+    f.write_text(json.dumps([
+        {"group": fp, "field": "Q", "lower": 1, "upper": 1, "source": "lit"}]))
+    code, doc = run(capsys, "edim", fx("s3.json"), "--facts", str(f))
+    assert code == 0 and doc["exact"]
+    assert any(t.startswith("R11:") for t in doc["trace"])
+    assert 6 in calls
+
+
 def test_cache_path_and_clear(capsys, tmp_path):
     code, doc = run(capsys, "cache", "path", "--cache-dir", str(tmp_path))
     assert code == 0 and doc["cache_dir"] == str(tmp_path)
@@ -209,6 +237,149 @@ def test_version_and_bad_verb(capsys):
     assert main(["--version"]) == 0
     assert main(["no-such-verb"]) == 2
     capsys.readouterr()
+
+
+# usage and error text of help and malformed command lines, with exit codes:
+# building only the named verb's subparser must not change any of it.  The
+# text is CPython 3.11's argparse wording at 80 columns.
+PARSE_GOLDEN = [
+    (["edim", "x.json", "--bogus"], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: unrecognized arguments: --bogus\n"),
+    ([], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: the following arguments are required: verb\n"),
+    (["-h"], 0,
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "\n"
+     "exact representation invariants and essential-dimension bounds for finite\n"
+     "groups\n"
+     "\n"
+     "positional arguments:\n"
+     "  {invariants,chartab,rdim,edim,covdim,mhom,facts,cache}\n"
+     "    invariants          structural invariants of a group\n"
+     "    chartab             exact character table\n"
+     "    rdim                minimal faithful representation dimension\n"
+     "    edim                essential-dimension interval\n"
+     "    covdim              covariant-dimension interval\n"
+     "    mhom                multihomogenization of a graded map\n"
+     "    facts               manage a facts store\n"
+     "    cache               character-table cache admin\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --version             show program's version number and exit\n",
+     ""),
+    (["bogus"], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: argument verb: invalid choice: 'bogus' (choose from 'invariants', 'chartab', 'rdim', 'edim', 'covdim', 'mhom', 'facts', 'cache')\n"),
+    (["edim"], 2,
+     "",
+     "usage: edimkit edim [-h] [--field FIELD] [--pretty] [--facts FACTS]\n"
+     "                    [--subgroups {cyclic,all}]\n"
+     "                    group\n"
+     "edimkit edim: error: the following arguments are required: group\n"),
+    (["mhom", "nope", "f"], 2,
+     "",
+     "usage: edimkit mhom [-h] [--lambda LAM] [--pretty] {homogenize} file\n"
+     "edimkit mhom: error: argument action: invalid choice: 'nope' (choose from 'homogenize')\n"),
+    (["--version"], 0,
+     edimkit.__version__ + "\n",
+     ""),
+    (["chartab", "--help"], 0,
+     "usage: edimkit chartab [-h] [--full] [--cache-dir CACHE_DIR] [--no-cache]\n"
+     "                       [--pretty]\n"
+     "                       group\n"
+     "\n"
+     "positional arguments:\n"
+     "  group\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --full                include all values\n"
+     "  --cache-dir CACHE_DIR\n"
+     "  --no-cache\n"
+     "  --pretty\n",
+     ""),
+    (["edim", "x", "--subgroups", "z"], 2,
+     "",
+     "usage: edimkit edim [-h] [--field FIELD] [--pretty] [--facts FACTS]\n"
+     "                    [--subgroups {cyclic,all}]\n"
+     "                    group\n"
+     "edimkit edim: error: argument --subgroups: invalid choice: 'z' (choose from 'cyclic', 'all')\n"),
+    (["rdim", "a", "b", "c"], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: unrecognized arguments: b c\n"),
+    (["cache", "path", "--cache-dir"], 2,
+     "",
+     "usage: edimkit cache [-h] [--cache-dir CACHE_DIR] [--pretty] {path,clear}\n"
+     "edimkit cache: error: argument --cache-dir: expected one argument\n"),
+    (["-x"], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: the following arguments are required: verb\n"),
+    (["--pretty", "edim", "x"], 2,
+     "",
+     "usage: edimkit [-h] [--version]\n"
+     "               {invariants,chartab,rdim,edim,covdim,mhom,facts,cache} ...\n"
+     "edimkit: error: unrecognized arguments: --pretty\n"),
+    (["facts", "merge"], 2,
+     "",
+     "usage: edimkit facts [-h] [--pretty] {merge,show} store [new]\n"
+     "edimkit facts: error: the following arguments are required: store\n"),
+]
+
+
+def _parse_outcome(capsys, call):
+    code = call()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse wording differs between Python versions")
+@pytest.mark.parametrize("argv, code, out, err", PARSE_GOLDEN,
+                         ids=[" ".join(a) or "(none)" for a, *_ in PARSE_GOLDEN])
+def test_parse_errors_and_help_are_golden(capsys, monkeypatch, argv, code,
+                                          out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_outcome(capsys, lambda: main(argv)) == (code, out, err)
+
+
+def _full_tree(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+
+
+@pytest.mark.parametrize("argv", [a for a, *_ in PARSE_GOLDEN],
+                         ids=[" ".join(a) or "(none)" for a, *_ in PARSE_GOLDEN])
+def test_parse_errors_and_help_match_the_full_tree(capsys, monkeypatch, argv):
+    # on any Python: main, which builds one verb's subparser when argv names
+    # a verb, prints what the parser with every verb prints
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_outcome(capsys, lambda: main(argv)) == \
+        _parse_outcome(capsys, lambda: _full_tree(argv))
+
+
+def test_console_entry_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["edimkit", "edim", fx("klein.json")])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is True
+    monkeypatch.setattr(sys, "argv", ["edimkit", "edim"])
+    assert main() == 2
+    assert "required: group" in capsys.readouterr().err
 
 
 

@@ -2,6 +2,8 @@
 element order, gives the same edim/covdim results, traces included, as the
 reference below, which recurses into every distinct cyclic subgroup."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,17 +82,21 @@ def test_products_match_the_reference(name, field):
 
 def test_one_candidate_per_element_order():
     # S4xS4 has elements of orders 2, 3, 4, 6 and 12 (a proper order each),
-    # so the top level recurses into at most five cyclic subgroups
+    # so the top level recurses into at most five cyclic subgroups.  Every
+    # nested call is counted at its depth, however the depth is passed.
     g = named_group("S4xS4")
-    calls = []
+    depths = []
     real_edim = engine.edim
+    signature = inspect.signature(real_edim)
 
-    def counted(h, *args, **kwargs):
-        calls.append(kwargs.get("_depth", 0))
-        return real_edim(h, *args, **kwargs)
+    def counted(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        depths.append(call.arguments["_depth"])
+        return real_edim(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "edim", counted)
         engine.edim(g, parse_field("Q"))
-    assert calls.count(1) <= 5 + 2  # plus the two factors of R9
-
+    assert depths.count(0) == 1  # only the top-level call
+    assert depths.count(1) <= 5 + 2  # plus the two factors of R9

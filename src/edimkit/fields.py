@@ -115,7 +115,13 @@ def has_primitive_root(f: FieldDescriptor, n: int) -> bool:
 
 
 def k_center(g: FiniteGroup, f: FieldDescriptor) -> Subgroup:
-    """Central elements whose order has a primitive root of unity in the field."""
+    """Central elements whose order has a primitive root of unity in the field.
+
+    Memoized on the group per field.
+    """
+    sub = g._k_centers.get(f)
+    if sub is not None:
+        return sub
     z = g.center()
     elems = frozenset(
         x for x in z.elements if has_primitive_root(f, g.element_order(x))
@@ -125,6 +131,7 @@ def k_center(g: FiniteGroup, f: FieldDescriptor) -> Subgroup:
     got = g.subgroup_closure(sorted(elems))
     if got != elems:
         raise InternalInconsistency("scalar center failed to be a subgroup")
+    g._k_centers[f] = sub
     return sub
 
 

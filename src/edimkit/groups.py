@@ -175,6 +175,8 @@ class FiniteGroup:
         self._socle_abelian: Optional["Subgroup"] = None
         # the certified character table of a default `character_table` call
         self._table = None
+        # `fields.k_center` per FieldDescriptor
+        self._k_centers: dict = {}
         self._orders: Optional[list[int]] = None
         self._fingerprint: Optional[str] = None
         if check:

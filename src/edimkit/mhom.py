@@ -146,13 +146,10 @@ def weight_decompose(p: Polynomial, grading: Grading) -> dict:
     """Split a polynomial into its blockwise-homogeneous weight components."""
     block_of = grading.block_of()
     m = grading.n_blocks
-    out: dict = {}
+    parts: dict = {}
     for mono, c in p.terms.items():
-        w = monomial_weight(mono, block_of, m)
-        if w not in out:
-            out[w] = Polynomial.zero(p.nvars)
-        out[w] = out[w] + Polynomial(p.nvars, {mono: c})
-    return out
+        parts.setdefault(monomial_weight(mono, block_of, m), {})[mono] = c
+    return {w: Polynomial(p.nvars, terms) for w, terms in parts.items()}
 
 
 def choose_lambda(weight_set) -> OneParamSubgroup:
@@ -175,10 +172,22 @@ def choose_lambda(weight_set) -> OneParamSubgroup:
 
 
 def occurring_weights(phi: GradedPolyMap) -> set:
-    s = set(weight_decompose(phi.denominator, phi.source))
-    for p in phi.numerators:
-        s |= set(weight_decompose(p, phi.source))
-    return s
+    return _weights(_split(phi))
+
+
+def _split(phi: GradedPolyMap) -> list:
+    """The weight split of the denominator, then of each numerator."""
+    return [weight_decompose(p, phi.source)
+            for p in [phi.denominator, *phi.numerators]]
+
+
+def _weights(splits: list) -> set:
+    # merged split by split: the set's iteration order decides which pair
+    # a LambdaNotInjective message names
+    out = set(splits[0])
+    for parts in splits[1:]:
+        out |= set(parts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +203,9 @@ def homogenize(phi: GradedPolyMap,
     one-parameter subgroup survives (the denominator contributes its own
     minimal component); zero components give zero matrix columns.
     """
-    s_all = occurring_weights(phi)
+    splits = _split(phi)
+    den_parts, *num_parts = splits
+    s_all = _weights(splits)
     if lam is None:
         lam = choose_lambda(s_all)
     else:
@@ -206,9 +217,6 @@ def homogenize(phi: GradedPolyMap,
                     f"weights {pairings[p]} and {w} share pairing {p}")
             pairings[p] = w
     m = phi.source.n_blocks
-    block_of = phi.source.block_of()
-
-    den_parts = weight_decompose(phi.denominator, phi.source)
     chi0 = min(den_parts, key=lam.pairing)
     new_den = den_parts[chi0]
 
@@ -217,9 +225,7 @@ def homogenize(phi: GradedPolyMap,
     zero_cols = set()
     slices = phi.target.coordinate_slices()
     for j, sl in enumerate(slices):
-        block_weights: set = set()
-        for t in sl:
-            block_weights |= set(weight_decompose(phi.numerators[t], phi.source))
+        block_weights = set().union(*(num_parts[t] for t in sl))
         if not block_weights:
             for t in sl:
                 new_nums.append(Polynomial.zero(phi.source.total_dim))
@@ -228,8 +234,8 @@ def homogenize(phi: GradedPolyMap,
             continue
         chi_j = min(block_weights, key=lam.pairing)
         for t in sl:
-            parts = weight_decompose(phi.numerators[t], phi.source)
-            new_nums.append(parts.get(chi_j, Polynomial.zero(phi.source.total_dim)))
+            new_nums.append(num_parts[t].get(chi_j)
+                            or Polynomial.zero(phi.source.total_dim))
         columns.append(tuple(a - b for a, b in zip(chi_j, chi0)))
     entries = [[columns[j][i] for j in range(len(slices))] for i in range(m)]
     result = GradedPolyMap(phi.source, phi.target, new_nums, new_den)

@@ -1,8 +1,12 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with int coefficients, `Fraction` only
+after division.
 
 Monomials are exponent tuples over a fixed variable list; parsing accepts a
 small expression grammar (+, -, *, ^ or **, parentheses, integer and rational
-literals) via the Python ast module.
+literals) via the Python ast module.  A coefficient is a Python int until a
+division by a constant (`/` in the grammar, or `scale` by a non-integer)
+makes it a `Fraction`; both print alike, so `render` does not depend on which
+one a term holds.
 """
 
 from __future__ import annotations
@@ -14,14 +18,53 @@ from typing import Sequence
 from .errors import ParseError
 
 
+def _add_terms(out: dict, terms: dict, sign: int = 1) -> dict:
+    """out += sign * terms, in place; zero coefficients may remain."""
+    for m, c in terms.items():
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple([x + y for x, y in zip(m1, m2)])
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _pow_terms(terms: dict, k: int, one: tuple) -> dict:
+    """terms ** k for k >= 0; `one` is the exponent tuple of the constant 1."""
+    if k == 0:
+        return {one: 1}
+    if len(terms) == 1:
+        (m, c), = terms.items()
+        return {tuple([e * k for e in m]): c ** k}
+    result = {one: 1}
+    while True:
+        if k & 1:
+            result = _mul_terms(result, terms)
+        k >>= 1
+        if not k:
+            return result
+        terms = _mul_terms(terms, terms)
+
+
+def _coefficient(c):
+    """An int stays an int; any other exact number becomes a Fraction."""
+    return c if type(c) is int else Fraction(c)
+
+
 class Polynomial:
-    """Immutable sparse polynomial: dict exponent-tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: dict exponent-tuple -> nonzero int or
+    Fraction."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors ---------------------------------------------------
 
@@ -31,12 +74,12 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, c) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: Fraction(c)})
+        return Polynomial(nvars, {(0,) * nvars: _coefficient(c)})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Polynomial":
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return Polynomial(nvars, {mono: Fraction(1)})
+        return Polynomial(nvars, {mono: 1})
 
     # -- predicates -----------------------------------------------------
 
@@ -55,10 +98,7 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, _add_terms(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -73,29 +113,18 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ParseError("negative polynomial power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Polynomial(self.nvars,
+                          _pow_terms(self.terms, k, (0,) * self.nvars))
 
     def scale(self, q) -> "Polynomial":
-        q = Fraction(q)
+        q = _coefficient(q)
         return Polynomial(self.nvars, {m: c * q for m, c in self.terms.items()})
 
     # -- substitution and evaluation ------------------------------------
@@ -105,14 +134,15 @@ class Polynomial:
         if len(images) != self.nvars:
             raise ParseError("substitution arity mismatch")
         nv = images[0].nvars if images else self.nvars
-        out = Polynomial.zero(nv)
+        one = (0,) * nv
+        out: dict = {}
         for m, c in self.terms.items():
-            term = Polynomial.constant(nv, c)
+            term = {one: c}
             for i, e in enumerate(m):
                 if e:
-                    term = term * (images[i] ** e)
-            out = out + term
-        return out
+                    term = _mul_terms(term, _pow_terms(images[i].terms, e, one))
+            _add_terms(out, term)
+        return Polynomial(nv, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         total = Fraction(0)
@@ -130,7 +160,7 @@ class Polynomial:
             if m[i] == 0:
                 continue
             dm = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
+            out[dm] = out.get(dm, 0) + c * m[i]
         return Polynomial(self.nvars, out)
 
     # -- comparison / display -------------------------------------------
@@ -174,9 +204,15 @@ class Polynomial:
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
-    """Parse +, -, *, ^ (or **), parentheses, integers, and fractions a/b."""
-    index = {n: i for i, n in enumerate(names)}
+    """Parse +, -, *, ^ (or **), parentheses, integers, and fractions a/b.
+
+    The walk works on plain {exponent tuple: coefficient} dicts, each owned
+    by its caller, so sums update their left operand in place; one
+    Polynomial is built at the end.
+    """
     nv = len(names)
+    one = (0,) * nv
+    unit = {n: one[:i] + (1,) + one[i + 1:] for i, n in enumerate(names)}
     src = text.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
@@ -184,48 +220,48 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         raise ParseError(f"bad polynomial expression: {exc.msg}",
                          exc.offset or 0) from None
 
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
+    def walk(node) -> dict:
         if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Add):
-                return walk(node.left) + walk(node.right)
-            if isinstance(node.op, ast.Sub):
-                return walk(node.left) - walk(node.right)
-            if isinstance(node.op, ast.Mult):
-                return walk(node.left) * walk(node.right)
-            if isinstance(node.op, ast.Div):
-                right = walk(node.right)
-                if not isinstance(right, Polynomial):
-                    return walk(node.left) * Fraction(1, 1) / right  # pragma: no cover
-                const = _as_constant(right)
-                if const is None or const == 0:
+            op = node.op
+            if isinstance(op, ast.Add):
+                return _add_terms(walk(node.left), walk(node.right))
+            if isinstance(op, ast.Sub):
+                return _add_terms(walk(node.left), walk(node.right), -1)
+            if isinstance(op, ast.Mult):
+                return _mul_terms(walk(node.left), walk(node.right))
+            if isinstance(op, ast.Div):
+                right = {m: c for m, c in walk(node.right).items() if c}
+                if list(right) != [one]:
                     raise ParseError("division only by nonzero constants")
-                return walk(node.left).scale(Fraction(1) / const)
-            if isinstance(node.op, ast.Pow):
+                q = Fraction(1) / right[one]
+                return {m: c * q for m, c in walk(node.left).items()}
+            if isinstance(op, ast.Pow):
                 exp = node.right
-                if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)
-                        and exp.value >= 0):
+                k = exp.value if isinstance(exp, ast.Constant) else None
+                if type(k) is bool:
+                    raise ParseError(f"unsupported literal {k!r}")
+                if type(k) is not int or k < 0:
                     raise ParseError("exponent must be a nonnegative integer")
-                return walk(node.left) ** exp.value
-            raise ParseError(f"unsupported operator {type(node.op).__name__}")
+                return _pow_terms(walk(node.left), k, one)
+            raise ParseError(f"unsupported operator {type(op).__name__}")
+        if isinstance(node, ast.Name):
+            if node.id not in unit:
+                raise ParseError(f"unknown variable {node.id!r}")
+            return {unit[node.id]: 1}
+        if isinstance(node, ast.Constant):
+            # bool is a subclass of int, but True is no polynomial literal
+            if type(node.value) is int:
+                return {one: node.value}
+            raise ParseError(f"unsupported literal {node.value!r}")
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
-                return -walk(node.operand)
+                return {m: -c for m, c in walk(node.operand).items()}
             if isinstance(node.op, ast.UAdd):
                 return walk(node.operand)
             raise ParseError("unsupported unary operator")
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
-                return Polynomial.constant(nv, node.value)
-            raise ParseError(f"unsupported literal {node.value!r}")
-        if isinstance(node, ast.Name):
-            if node.id not in index:
-                raise ParseError(f"unknown variable {node.id!r}")
-            return Polynomial.variable(nv, index[node.id])
         raise ParseError(f"unsupported syntax {type(node).__name__}")
 
-    return walk(tree)
+    return Polynomial(nv, walk(tree.body))
 
 
 def _as_constant(p: Polynomial):

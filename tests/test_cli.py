@@ -139,6 +139,19 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, verb, payload):
     assert doc["error"] == "ParseError" and doc["detail"]
 
 
+@pytest.mark.parametrize("numerator, literal", [
+    ("True", "True"), ("False + x", "False"), ("x**True", "True")])
+def test_mhom_bool_literal_is_a_parse_error(capsys, tmp_path, numerator, literal):
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({
+        "source_blocks": [1], "target_blocks": [1], "numerators": [numerator],
+        "source_variables": ["x"]}))
+    code, doc = run(capsys, "mhom", "homogenize", str(p))
+    assert code == 2
+    assert doc == {"error": "ParseError",
+                   "detail": f"unsupported literal {literal} (at position 0)"}
+
+
 def test_facts_merge_show_and_conflict(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

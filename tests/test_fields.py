@@ -102,6 +102,27 @@ def test_k_center_failed_self_check_is_internal(monkeypatch):
         k_center(c12, rationals())
 
 
+def test_k_center_is_memoized_per_field(monkeypatch):
+    c12 = named_group("C12")
+    closures = []
+    closure = c12.subgroup_closure
+    monkeypatch.setattr(c12, "subgroup_closure",
+                        lambda gens: closures.append(gens) or closure(gens))
+    q, k4 = rationals(), cyclotomic_field(4)
+    first = k_center(c12, q)
+    assert len(closures) == 1
+    assert k_center(c12, q) is first
+    assert k_center_rank(c12, q) == 1
+    assert len(closures) == 1
+    # another field on the same group gets its own answer and its own check
+    assert k_center(c12, k4).order == 4
+    assert len(closures) == 2
+    assert k_center(c12, q).order == 2
+    # an equal descriptor built anew hits the same entry
+    assert k_center(c12, parse_field("Q")) is first
+    assert len(closures) == 2
+
+
 def test_semi_faithful():
     s3 = named_group("S3")
     assert is_semi_faithful(s3, rationals())

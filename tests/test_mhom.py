@@ -129,6 +129,25 @@ def test_worked_example_auto_lambda_picks_some_homogeneous_part():
     assert degree_matrix(h).as_lists() == mat.as_lists()
 
 
+def test_homogenize_splits_each_polynomial_once(monkeypatch):
+    import edimkit.mhom as mhom
+
+    names = ["x", "y", "z"]
+    phi = GradedPolyMap(
+        Grading((1, 2)), Grading((2, 1)),
+        [parse_polynomial(s, names) for s in ["x*y + x^2*z", "x*z + y^3", "0"]],
+        parse_polynomial("x + y*z", names))
+    split = mhom.weight_decompose
+    calls = []
+    monkeypatch.setattr(mhom, "weight_decompose",
+                        lambda p, g: calls.append(p) or split(p, g))
+    h, mat = homogenize(phi)
+    # one split per polynomial, then one per output in the closing check
+    assert len(calls) == 2 * (len(phi.numerators) + 1)
+    assert calls[:4] == [phi.denominator, *phi.numerators]
+    assert calls[4:] == [h.denominator, *h.numerators]
+
+
 def test_lambda_not_injective():
     names = ["x", "y"]
     phi = GradedPolyMap(

@@ -1,0 +1,198 @@
+"""Polynomials: ring operations against a Fraction reference, the int
+coefficient model, golden renderings, and parser rejections."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edimkit.errors import ParseError
+from edimkit.poly import Polynomial, parse_polynomial
+
+NV = 2
+NAMES = ["x", "y"]
+
+# ---------------------------------------------------------------------------
+# a Fraction-coefficient reference: dict exponent-tuple -> nonzero Fraction
+
+
+def ref_clean(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c != 0}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k, nv):
+    out = {(0,) * nv: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, images, nv):
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * nv: c}
+        for img, e in zip(images, m):
+            term = ref_mul(term, ref_pow(img, e, nv))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_partial(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            dm = tuple(e - (j == i) for j, e in enumerate(m))
+            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
+    return ref_clean(out)
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for m, c in a.items():
+        v = c
+        for x, e in zip(point, m):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+monomials = st.tuples(*[st.integers(0, 3)] * NV)
+int_terms = st.dictionaries(monomials, st.integers(-5, 5), max_size=4)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def polynomial(terms, q=1):
+    """The polynomial of int terms, scaled by q, and its reference."""
+    p = Polynomial(NV, terms).scale(q)
+    return p, ref_clean({m: Fraction(c) * q for m, c in terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_terms, int_terms, rationals, st.sampled_from([1, Fraction(1, 2)]),
+       st.integers(0, 4), st.lists(int_terms, min_size=NV, max_size=NV),
+       st.integers(0, NV - 1), st.tuples(rationals, rationals))
+def test_ring_operations_match_the_fraction_reference(
+        ta, tb, q, qa, k, image_terms, i, point):
+    p, rp = polynomial(ta, qa)
+    r, rr = polynomial(tb)
+    assert p.terms == rp
+    assert (p + r).terms == ref_add(rp, rr)
+    assert (p - r).terms == ref_add(rp, rr, -1)
+    assert (-p).terms == ref_add({}, rp, -1)
+    assert (p * r).terms == ref_mul(rp, rr)
+    assert (p ** k).terms == ref_pow(rp, k, NV)
+    one = (0,) * NV
+    assert p.scale(q).terms == ref_mul(rp, {one: q})
+    images = [Polynomial(NV, t) for t in image_terms]
+    assert p.substitute(images).terms == ref_substitute(
+        rp, [ref_clean(t) for t in image_terms], NV)
+    assert p.partial(i).terms == ref_partial(rp, i)
+    assert p.evaluate(point) == ref_evaluate(rp, point)
+    # constants mix in on either side
+    assert (p + 3).terms == ref_add(rp, {one: Fraction(3)})
+    assert (3 - p).terms == ref_add({one: Fraction(3)}, rp, -1)
+    assert (q * p).terms == ref_mul(rp, {one: q})
+
+
+# ---------------------------------------------------------------------------
+# the coefficient model
+
+
+def _types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_terms, int_terms, st.integers(0, 3), st.integers(-3, 3))
+def test_integer_input_keeps_int_coefficients(ta, tb, k, n):
+    p, r = Polynomial(NV, ta), Polynomial(NV, tb)
+    for out in (p + r, p - r, -p, p * r, p ** k, p.scale(n), p + n, n - p,
+                p * n, p.substitute([r, p]), p.partial(0)):
+        assert _types(out) <= {int}
+
+
+def test_fractions_appear_only_after_division():
+    text = "(x - 2*y)^3 + 4*x*y - 7"
+    assert _types(parse_polynomial(text, NAMES)) == {int}
+    assert _types(parse_polynomial(f"({text})/2", NAMES)) == {Fraction}
+    # division makes a Fraction even where the value is integral
+    assert _types(parse_polynomial("x/2*2", NAMES)) == {Fraction}
+    assert _types(Polynomial.variable(NV, 0).scale(Fraction(1, 3))) == {Fraction}
+    assert _types(Polynomial.constant(NV, Fraction(4, 2))) == {Fraction}
+    assert _types(Polynomial.constant(NV, 5)) == {int}
+    # a bool constant is stored as a number, never as True
+    assert Polynomial.constant(NV, True).render(NAMES) == "1"
+
+
+# renderings recorded from the Fraction-coefficient implementation
+GOLDEN = [
+    ("x/2*2", "x"),
+    ("-3/2*x^2 + 1/3", "-3/2*x^2 + 1/3"),
+    ("(x - y)^3", "x^3 - 3*x^2*y + 3*x*y^2 - y^3"),
+    ("x/3 - x/3", "0"),
+    ("-x", "-x"),
+    ("-1", "-1"),
+    ("0", "0"),
+    ("2*x*y^2 - 7/4*y + 0", "2*x*y^2 - 7/4*y"),
+    ("(x/2 + y/3)^2", "1/4*x^2 + 1/3*x*y + 1/9*y^2"),
+    ("6/3*x", "2*x"),
+    ("-(x + 1)^2", "-x^2 - 2*x - 1"),
+    ("x*0", "0"),
+    ("(1/2)^3*x", "1/8*x"),
+    ("x^0", "1"),
+    ("0^0", "1"),
+    ("-4/2*y + x/-2", "-1/2*x - 2*y"),
+    ("(x + y)/(2/3)", "3/2*x + 3/2*y"),
+    ("12345678901234567890*x - 1/12345678901234567890",
+     "12345678901234567890*x - 1/12345678901234567890"),
+]
+
+
+@pytest.mark.parametrize("text, rendered", GOLDEN)
+def test_render_is_golden(text, rendered):
+    assert parse_polynomial(text, NAMES).render(NAMES) == rendered
+
+
+# ---------------------------------------------------------------------------
+# parser rejections
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("True", "True"), ("False + x", "False"), ("x**True", "True"),
+    ("x^False", "False"),
+])
+def test_bool_literals_are_rejected(text, literal):
+    # bool is a subclass of int; it used to parse as 1 or 0
+    with pytest.raises(ParseError, match=f"unsupported literal {literal}"):
+        parse_polynomial(text, NAMES)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.5*x", "unsupported literal 1.5"),
+    ("x/y", "division only by nonzero constants"),
+    ("x/(x - x)", "division only by nonzero constants"),
+    ("x/0", "division only by nonzero constants"),
+    ("x^-1", "exponent must be a nonnegative integer"),
+    ("x^1.5", "exponent must be a nonnegative integer"),
+    ("x^y", "exponent must be a nonnegative integer"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_polynomial(text, NAMES)

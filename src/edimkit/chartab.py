@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -120,6 +120,8 @@ class CharacterTable:
     # per class k, rows x ord(g_k) eigenvalue multiplicities:
     # chi_i(g_k) = sum_t multiplicities[k][i, t] zeta_ord(g_k)^t
     multiplicities: list[np.ndarray]
+    # `restriction_data` per subgroup element set
+    _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -418,7 +420,7 @@ def _cache_store(g: FiniteGroup, table: CharacterTable,
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w") as fh:
-            json.dump(table.serialize(), fh)
+            fh.write(json.dumps(table.serialize()))
         tmp.replace(path)
     except OSError:
         pass
@@ -475,7 +477,12 @@ def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
     (mod e) above every degree, at one primitive e-th root of unity, as a
     matrix product.  Every prime dividing |a| divides e, so q does not, and
     the residue is 0 exactly when the multiplicity is.
+
+    Memoized on the table per subgroup element set.
     """
+    rd = table._restrictions.get(a.elements)
+    if rd is not None:
+        return rd
     g = table.group
     st = structure(a)
     e = table.conductor
@@ -500,7 +507,9 @@ def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
             if ct not in f_min or (deg, row) < f_min[ct]:
                 f_min[ct] = (deg, row)
         row_chars.append(frozenset(found))
-    return RestrictionData(table, a, st, row_chars, f_min)
+    rd = RestrictionData(table, a, st, row_chars, f_min)
+    table._restrictions[a.elements] = rd
+    return rd
 
 
 def gcd_min_condition(table: CharacterTable, field: FieldDescriptor,

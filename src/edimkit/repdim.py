@@ -41,8 +41,8 @@ from .fields import (
     k_center_rank,
     supports_splitting,
 )
-from .groups import FiniteGroup, Subgroup, all_subgroups
-from .ntheory import prime_power_base
+from .groups import FiniteGroup, Subgroup
+from .ntheory import is_prime, prime_power_base
 
 PATH_C_BUDGET = 10_000_000
 ORACLE_ROW_LIMIT = 40
@@ -298,31 +298,37 @@ class TransferReport:
 
 
 def _direct_factor_exponent(gab: FiniteGroup, image: frozenset) -> int:
-    """Least exponent of a direct factor of an abelian group containing a subgroup."""
-    best = None
-    subs = all_subgroups(gab)
-    sub_index = {s: Subgroup(gab, s) for s in subs}
-    for s in subs:
-        if not image <= s:
-            continue
-        size = len(s)
-        if gab.order % size != 0:
-            continue
-        comp_size = gab.order // size
-        has_complement = any(
-            len(t) == comp_size and (s & t) == frozenset([0])
-            for t in subs
-        )
-        if not has_complement:
-            continue
-        exp = 1
-        for x in s:
-            exp = math.lcm(exp, gab.element_order(x))
-        if best is None or exp < best:
-            best = exp
-    if best is None:
-        raise HypothesisFailed("no direct factor contains the central image")
-    return best
+    """Least exponent of a direct factor of the abelian group A containing
+    its subgroup B (in additive notation).
+
+    Closed form: the product over primes p of p^k_p, where k_p is the least
+    k such that no element of order p in B lies in p^k A.  Each p^k A is
+    found as the set of p^k-th powers, raised one p at a time.
+
+    Proof.  A direct factor is the sum of its p-parts, each a direct factor
+    of A_p, with exponent the product of theirs, and B lies in it exactly
+    when each B_p lies in its p-part.  So it suffices to show, for p-groups,
+    that B lies in a direct factor D with p^k D = 0 exactly when B meets
+    p^k A trivially.  (=>) If A = D + C with B <= D, then p^k A = p^k C lies
+    in C, which meets D trivially.  (<=) Enlarge B to a p^k A-high subgroup
+    D: maximal among those meeting p^k A trivially.  For x in D, p^k x lies
+    in D and in p^k A, so D is bounded; a high subgroup is pure, and a
+    bounded pure subgroup is a direct factor (Kulikov; Fuchs, "Infinite
+    Abelian Groups" I, 1970, section 27).  In the whole of A, p^k A is
+    p^k A_p plus the other primary parts, so its elements of order p are
+    those of p^k A_p; and the p-group B_p meets p^k A_p trivially exactly
+    when they share no element of order p.  The loop for p stops at the
+    latest when p^k A_p = 0: A is a direct factor of itself.
+    """
+    orders = gab.element_orders()
+    exp = 1
+    for p in {orders[x] for x in image if is_prime(orders[x])}:
+        order_p = {x for x in image if orders[x] == p}
+        powers = set(gab.elements())
+        while order_p & powers:
+            powers = {gab.power(x, p) for x in powers}
+            exp *= p
+    return exp
 
 
 def check_transfer_hypotheses(g: FiniteGroup, h: Subgroup,
@@ -336,7 +342,8 @@ def check_transfer_hypotheses(g: FiniteGroup, h: Subgroup,
     if (h.elements & comm.elements) != frozenset([0]):
         raise HypothesisFailed("H intersects the commutator subgroup trivially")
     # a direct factor containing H has an exponent divisible by exp(H), so a
-    # field without a primitive exp(H)-th root fails before any lattice is built
+    # field without a primitive exp(H)-th root fails before the abelianization
+    # G/[G, G] is built
     exp_h = math.lcm(*(g.element_order(x) for x in h.elements))
     if not has_primitive_root(f, exp_h):
         raise HypothesisFailed(

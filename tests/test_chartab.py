@@ -202,6 +202,13 @@ def test_cache_round_trip(tmp_path):
         assert np.array_equal(m1, m2)
 
 
+def test_cache_file_is_the_compact_json_of_the_table(tmp_path):
+    g = named_group("S4")
+    t = character_table(g, cache_dir=str(tmp_path))
+    assert _cache_path(g, str(tmp_path)).read_bytes() == \
+        json.dumps(t.serialize()).encode()
+
+
 def test_serialize_round_trip():
     g = named_group("D4")
     t = character_table(g, use_cache=False)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from edimkit import engine
+from edimkit import chartab, engine
 from edimkit.engine import (
     ConjecturalValue,
     EdimResult,
@@ -187,6 +187,23 @@ def test_conjectural_nilpotent():
     assert cj.socle_rank == 1  # C2 x C3 is cyclic
     q8 = named_group("Q8")
     assert conjectural_edim(q8, cyclotomic_field(4)).value == 2
+
+
+@pytest.mark.parametrize("name,fld,query", [
+    ("Q8", cyclotomic_field(4), edim),
+    ("Q8xC4", cyclotomic_field(4), edim),
+    ("D4", KBAR, edim),
+    ("Q8", cyclotomic_field(4), conjectural_edim),
+], ids=["Q8-edim", "Q8xC4-edim", "D4-edim", "Q8-conjectural"])
+def test_restriction_data_is_computed_once(monkeypatch, name, fld, query):
+    # rdim's path A and gcd_min_condition both read the socle's restriction
+    # data; chartab calls `structure` once per computation
+    computed = []
+    structure_of = chartab.structure
+    monkeypatch.setattr(chartab, "structure",
+                        lambda a: computed.append(a) or structure_of(a))
+    query(named_group(name), fld)
+    assert len(computed) == 1
 
 
 def test_conjectural_hypothesis_failure():

@@ -1,6 +1,7 @@
 """Minimal faithful representations: component counts, rdim paths, transfer."""
 
 import itertools
+import math
 
 import pytest
 
@@ -13,7 +14,8 @@ from edimkit.fields import (
     cyclotomic_field,
     rationals,
 )
-from edimkit.groups import FiniteGroup, Subgroup, direct_product
+from edimkit.engine import edim
+from edimkit.groups import FiniteGroup, Subgroup, all_subgroups, direct_product
 from edimkit.named import corpus, named_group
 from edimkit.repdim import (
     _direct_factor_exponent,
@@ -211,10 +213,41 @@ def test_transfer_hypothesis_failures():
         check_transfer_hypotheses(q8, z, cyclotomic_field(4))
 
 
+def _direct_factors(gab):
+    """Oracle: every direct factor of an abelian group, with its exponent,
+    found by searching the subgroup lattice for a complement."""
+    subs = all_subgroups(gab)
+    out = []
+    for s in subs:
+        comp_size = gab.order // len(s)
+        if any(len(t) == comp_size and s & t == frozenset([0]) for t in subs):
+            out.append((s, math.lcm(*(gab.element_order(x) for x in s))))
+    return out
+
+
+def _least_exponent_over(factors, image):
+    return min(exp for s, exp in factors if image <= s)
+
+
 def _factor_exponent_through_quotient(g, h):
     qm = g.quotient(g.commutator_subgroup())
-    return _direct_factor_exponent(qm.target,
-                                   frozenset(qm.projection[x] for x in h.elements))
+    return _least_exponent_over(_direct_factors(qm.target),
+                                frozenset(qm.projection[x] for x in h.elements))
+
+
+# C2..C27, every Cm x Cn (2 <= m <= n) up to order 36, and three of rank 3
+ABELIAN = [f"C{n}" for n in range(2, 28)] + \
+    [f"C{m}xC{n}" for m in range(2, 7) for n in range(m, 19) if m * n <= 36] + \
+    ["C2xC2xC4", "C2xC4xC8", "C3xC3xC9"]
+
+
+@pytest.mark.parametrize("name", ABELIAN)
+def test_direct_factor_exponent_matches_the_lattice_search(name):
+    a = named_group(name)
+    factors = _direct_factors(a)
+    for b in all_subgroups(a):
+        assert _direct_factor_exponent(a, b) == \
+            _least_exponent_over(factors, b), sorted(b)
 
 
 @pytest.mark.parametrize("name", sorted(corpus()))
@@ -226,6 +259,14 @@ def test_transfer_exponent_matches_the_abelianization(name):
         if h.elements & comm == frozenset([0]):
             assert check_transfer_hypotheses(g, h, KBAR) == \
                 _factor_exponent_through_quotient(g, h)
+
+
+@pytest.mark.parametrize("name,n", [("S3xC101", 101), ("S3xC128", 128)])
+def test_transfer_check_on_an_abelianization_above_the_lattice_limit(name, n):
+    # G^ab = C2 x Cn has order above the subgroup-lattice limit of 200
+    r = edim(named_group(name), cyclotomic_field(n))
+    assert r.exact and r.lower == 2
+    assert any(t[0] == "R7" for t in r.trace)
 
 
 def test_transfer_of_abelian_group_builds_no_quotient(monkeypatch):

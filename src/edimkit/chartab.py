@@ -15,6 +15,26 @@ in [0, deg chi_i], below q, so their residues are exact.  These non-negative
 integers are the stored table; cyclotomic values (`cyclo`) are built only for
 output, by `CharacterTable.cyclotomic_values`.
 
+A direct product G = G1 x G2 (`g.factors` set) gets its table from its
+factors' tables instead, since Irr(G1 x G2) = {chi_1 x chi_2} (Isaacs,
+"Character Theory of Finite Groups", Thm 4.21).  Its elements are indexed
+a1 |G2| + a2, and its classes are the products C_k1 x C_k2; classes are
+ordered by their least element, which is r_k1 |G2| + r_k2, so class
+(k1, k2) has index k1 n2 + k2, n2 the number of classes of G2 (checked: the
+representatives must agree, or InternalInconsistency is raised).  If g_k1 has order o1 and g_k2 order o2,
+the eigenvalue zeta_o1^a of g_k1 in chi_1 times zeta_o2^b of g_k2 in chi_2
+is zeta_o^(a o/o1 + b o/o2), o = lcm(o1, o2), so the multiplicities of
+(g_k1, g_k2) in chi_1 x chi_2 are the convolution of the factors'
+multiplicities on Z/o.  Factor tables come from the factor's own certified
+table when the group object holds one and are computed (recursively, for
+(A x B) x C) otherwise; they are never read from or written to the disk
+cache, so a product still writes one cache file.  Rows are sorted once, on
+the table that is returned, by the same key for both methods, so a product
+table equals the one Dixon-Schneider would give.  A wrong factor table
+cannot reach the output: the product table itself is certified below, and
+that certificate proves the product's orthogonality relations exactly,
+whatever the factors' tables were.
+
 Every table is certified before use, whether computed or reloaded from the
 cache: `CharacterTable.verify_orthogonality` checks both orthogonality
 relations in int64 matrix arithmetic at every primitive e-th root of unity
@@ -89,10 +109,11 @@ def _tensor_coeffs(e: int, mult: np.ndarray) -> dict:
     tensor basis of Q(zeta_e) that `cyclo` uses."""
     step = e // len(mult)
     out: dict = {}
-    for t in np.flatnonzero(mult):
-        sign, keys = _expansion(e, int(t) * step)
-        for key in keys:
-            out[key] = out.get(key, 0) + sign * int(mult[t])
+    for t, m in enumerate(mult.tolist()):
+        if m:
+            sign, keys = _expansion(e, t * step)
+            for key in keys:
+                out[key] = out.get(key, 0) + sign * m
     return {key: c for key, c in out.items() if c}
 
 
@@ -257,7 +278,7 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
 
     table = _cache_load(g, cache_dir) if use_cache else None
     if table is None:
-        table = _dixon_schneider(g)
+        table = _sorted_rows(_compute(g))
         table.verify_orthogonality()
         if use_cache:
             _cache_store(g, table, cache_dir)
@@ -272,6 +293,58 @@ def _class_data(g: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
     cmap = g.class_map()
     reps = [min(c) for c in classes]
     return reps, [len(c) for c in classes], [cmap[g.inv(r)] for r in reps]
+
+
+def _sorted_rows(t: CharacterTable) -> CharacterTable:
+    """t with its rows by degree, then by the values' tensor-basis coefficients."""
+    e = t.conductor
+    mults = t.multiplicities
+    perm = sorted(range(t.n_classes), key=lambda i: (
+        t.degrees[i], [sorted(_tensor_coeffs(e, m[i]).items()) for m in mults]))
+    return CharacterTable(t.group, e, t.class_reps, t.class_sizes, t.inverse_class,
+                          [t.degrees[i] for i in perm], [m[perm] for m in mults])
+
+
+def _compute(g: FiniteGroup) -> CharacterTable:
+    """g's table, rows in no fixed order and not yet certified: from its
+    factors' tables when g is a direct product, else by Dixon-Schneider.
+
+    A factor's certified table is reused when the group object holds one;
+    otherwise it is computed here, and neither cached nor memoized.
+    """
+    if g.factors is None:
+        return _dixon_schneider(g)
+    t1, t2 = (f._table if f._table is not None else _compute(f) for f in g.factors)
+    return _product_table(g, t1, t2)
+
+
+def _product_table(g: FiniteGroup, t1: CharacterTable,
+                   t2: CharacterTable) -> CharacterTable:
+    """The table of g = G1 x G2 from tables t1 of G1 and t2 of G2.
+
+    Row (i1, i2) is chi_i1 x chi_i2 and class (k1, k2) is C_k1 x C_k2, index
+    k1 n2 + k2 for n2 classes of G2, whose least element is r_k1 |G2| + r_k2
+    (checked).  For o = lcm(o1, o2), the eigenvalue zeta_o1^a x zeta_o2^b of
+    (g_k1, g_k2) is zeta_o^(a o/o1 + b o/o2), so the multiplicities are the
+    convolution of the factors' on Z/o.
+    """
+    reps, sizes, inv_class = _class_data(g)
+    order2 = g.factors[1].order
+    if reps != [r1 * order2 + r2 for r1 in t1.class_reps for r2 in t2.class_reps]:
+        raise InternalInconsistency("product classes do not follow the factors' classes")
+    mults = []
+    for m1 in t1.multiplicities:
+        o1 = m1.shape[1]
+        for m2 in t2.multiplicities:
+            o2 = m2.shape[1]
+            o = math.lcm(o1, o2)
+            ts = (np.arange(o1)[:, None] * (o // o1) + np.arange(o2) * (o // o2)) % o
+            outer = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(-1, o1 * o2)
+            m = np.zeros((len(outer), o), dtype=np.int64)
+            np.add.at(m, (slice(None), ts.ravel()), outer)
+            mults.append(m)
+    degrees = np.outer(t1.degrees, t2.degrees).ravel().tolist()
+    return CharacterTable(g, g.exponent(), reps, sizes, inv_class, degrees, mults)
 
 
 def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
@@ -329,11 +402,7 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
             raise InternalInconsistency("eigenvalue multiplicity too large")
         mults.append(m)
 
-    # rows by degree, then by the values' tensor-basis coefficients
-    perm = sorted(range(n), key=lambda i: (
-        degrees[i], [sorted(_tensor_coeffs(e, m[i]).items()) for m in mults]))
-    return CharacterTable(g, e, reps, sizes, inv_class,
-                          [int(degrees[i]) for i in perm], [m[perm] for m in mults])
+    return CharacterTable(g, e, reps, sizes, inv_class, degrees.tolist(), mults)
 
 
 def _class_constants(g: FiniteGroup, reps: list[int], cmap: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ monomial characters and its exponents form the degree matrix.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .poly import Polynomial, parse_polynomial
-from .snf import rational_rref
 
 JACOBIAN_POINTS = 3
 
@@ -276,8 +276,33 @@ def degree_matrix(phi: GradedPolyMap) -> DegreeMatrix:
 
 
 def matrix_rank(entries) -> int:
-    """Exact rank over the rationals."""
-    return len(rational_rref(entries)[1])
+    """Exact rank over the rationals, by fraction-free elimination (Bareiss).
+
+    Each row of ints or Fractions is scaled by the lcm of its denominators,
+    which keeps the rank.  After k pivots every entry of the rows below is
+    a (k+1)-minor of those integer rows, so the division by the previous
+    pivot is exact (Sylvester's identity) and entries stay integers.
+    """
+    rows = []
+    for row in entries:
+        den = math.lcm(1, *(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

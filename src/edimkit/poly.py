@@ -203,8 +203,25 @@ class Polynomial:
         return self.render([f"v{i}" for i in range(self.nvars)])
 
 
+def _error(text: str, node: ast.expr, message: str) -> ParseError:
+    """A ParseError at node's 0-based character offset in text, which was
+    parsed with each ^ written as ** (ast offsets count UTF-8 bytes)."""
+    lines = text.replace("^", "**").split("\n")
+    line = lines[node.lineno - 1].encode()[:node.col_offset]
+    target = sum(len(s) + 1 for s in lines[:node.lineno - 1]) + len(line.decode())
+    pos = 0
+    for i, ch in enumerate(text):
+        if pos >= target:
+            return ParseError(message, i)
+        pos += 2 if ch == "^" else 1
+    return ParseError(message, len(text))
+
+
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse +, -, *, ^ (or **), parentheses, integers, and fractions a/b.
+
+    An error in the expression reports the offset of the subexpression that
+    it concerns: `x + y/(x - x)` fails at 4, where `y/(x - x)` begins.
 
     The walk works on plain {exponent tuple: coefficient} dicts, each owned
     by its caller, so sums update their left operand in place; one
@@ -232,34 +249,34 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             if isinstance(op, ast.Div):
                 right = {m: c for m, c in walk(node.right).items() if c}
                 if list(right) != [one]:
-                    raise ParseError("division only by nonzero constants")
+                    raise _error(text, node, "division only by nonzero constants")
                 q = Fraction(1) / right[one]
                 return {m: c * q for m, c in walk(node.left).items()}
             if isinstance(op, ast.Pow):
                 exp = node.right
                 k = exp.value if isinstance(exp, ast.Constant) else None
                 if type(k) is bool:
-                    raise ParseError(f"unsupported literal {k!r}")
+                    raise _error(text, node, f"unsupported literal {k!r}")
                 if type(k) is not int or k < 0:
-                    raise ParseError("exponent must be a nonnegative integer")
+                    raise _error(text, node, "exponent must be a nonnegative integer")
                 return _pow_terms(walk(node.left), k, one)
-            raise ParseError(f"unsupported operator {type(op).__name__}")
+            raise _error(text, node, f"unsupported operator {type(op).__name__}")
         if isinstance(node, ast.Name):
             if node.id not in unit:
-                raise ParseError(f"unknown variable {node.id!r}")
+                raise _error(text, node, f"unknown variable {node.id!r}")
             return {unit[node.id]: 1}
         if isinstance(node, ast.Constant):
             # bool is a subclass of int, but True is no polynomial literal
             if type(node.value) is int:
                 return {one: node.value}
-            raise ParseError(f"unsupported literal {node.value!r}")
+            raise _error(text, node, f"unsupported literal {node.value!r}")
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 return {m: -c for m, c in walk(node.operand).items()}
             if isinstance(node.op, ast.UAdd):
                 return walk(node.operand)
-            raise ParseError("unsupported unary operator")
-        raise ParseError(f"unsupported syntax {type(node).__name__}")
+            raise _error(text, node, "unsupported unary operator")
+        raise _error(text, node, f"unsupported syntax {type(node).__name__}")
 
     return Polynomial(nv, walk(tree.body))
 

@@ -1,17 +1,14 @@
-"""Exact linear algebra: integer Smith normal form, rational row reduction,
-and row reduction, kernels and eigenvalues modulo a prime.
+"""Exact linear algebra: integer Smith normal form, and row reduction,
+kernels and eigenvalues modulo a prime.
 
-Smith normal form and rational row reduction are arbitrary-precision; the
-Smith pivot is chosen by least nonzero absolute value to keep coefficients
-small at the matrix sizes used here.  Arithmetic modulo a prime q works on
-int64 numpy arrays with entries in [0, q); every sum of products it forms
-stays below m q^2, m the larger dimension of the matrix, which the caller
-keeps below 2^63.
+Smith normal form is arbitrary-precision; its pivot is chosen by least
+nonzero absolute value to keep coefficients small at the matrix sizes used
+here.  Arithmetic modulo a prime q works on int64 numpy arrays with entries
+in [0, q); every sum of products it forms stays below m q^2, m the larger
+dimension of the matrix, which the caller keeps below 2^63.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,29 +112,6 @@ def smith_normal_form(mat: list[list[int]]):
             negate_row(t)
         t += 1
     return d, p, q, qinv
-
-
-def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: (nonzero rows, their pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
 
 
 def rref_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:

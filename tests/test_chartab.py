@@ -1,9 +1,11 @@
 """Character tables: degrees, orthogonality, kernels, scalar actions, cache."""
 
 import copy
+import functools
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -15,13 +17,16 @@ from edimkit.chartab import (
     _cache_path,
     _certificate_primes,
     _class_constants,
+    _compute,
     _dixon_schneider,
+    _sorted_rows,
     all_central_characters,
     character_table,
     gcd_min_condition,
     kernel,
     restriction_data,
 )
+from edimkit.cli import main
 from edimkit.cyclo import Cyclotomic
 from edimkit.errors import (
     BackendLimit,
@@ -41,6 +46,7 @@ from edimkit.groups import (
 from edimkit.named import (
     alternating,
     corpus,
+    group_from_json,
     load_group,
     named_group,
     quaternion,
@@ -569,3 +575,132 @@ def test_default_table_is_loaded_and_certified_once_per_group(monkeypatch, tmp_p
     counts.update(dict.fromkeys(counts, 0))
     character_table(other)
     assert counts == {"load": 1, "deserialize": 1, "verify": 1}
+
+
+# ---------------------------------------------------------------------------
+# direct products: tables from the factors' tables
+
+
+_corpus = functools.cache(corpus)
+_ORDERS = {name: g.order for name, g in _corpus().items()}
+_CLASSES = {name: len(g.conjugacy_classes()) for name, g in _corpus().items()}
+# Dixon-Schneider, the oracle, takes about a second above 64 classes
+CORPUS_PAIRS = [pytest.param(a, b, id=f"{a}x{b}", marks=[pytest.mark.slow] * (
+                    _CLASSES[a] * _CLASSES[b] > 64))
+                for a in sorted(_ORDERS) for b in sorted(_ORDERS)
+                if _ORDERS[a] * _ORDERS[b] <= 200]
+
+# the chartab-cold benchmark pool; every name but SL2_7 is a product
+CHARTAB_POOL = [
+    "C2xS4", "C2xD4", "C3xA4", "C2xA5", "C2xQ8", "C3xD4", "C3xQ8", "C3xS4",
+    "C2xD6", "S3xD4", "S3xQ8", "S3xA4", "A4xD4", "C4xS4", "C4xA4",
+    "C2xC2xS4", "D5xD5", "Q12xS3", "D7xS3", "A4xA4", "C4xC4", "D5xS3",
+    "A5xC3", "S5xC2", "S3xS3xS3", "S4xS4", "Heis3xC3", "SL2_7",
+    "C4xD4", "C4xQ8", "C2xC2xD4", "C2xC2xQ8", "D5xC3", "D6xC3", "Q12xC3",
+    "Q12xC2", "D7xC2", "C5xS3", "D5xD4", "D6xS3", "C2xC2xA4",
+]
+
+
+def _pool_factor_orders(seed):
+    """The factor orders in which the benchmark's seeded presentation lists
+    each product of the pool: one shuffle per product, drawn in pool order
+    from random.Random("chartab-cold:<seed>").  SL2_7, a permutation group
+    on 48 points with 2 generators, draws a point relabelling, two
+    generator choices, an insertion place and a shuffle of 3 generators."""
+    rng = random.Random(f"chartab-cold:{seed}")
+    out = []
+    for name in CHARTAB_POOL:
+        if name == "SL2_7":
+            rng.shuffle(list(range(48)))
+            rng.choice([0, 1])
+            rng.choice([0, 1])
+            rng.randrange(3)
+            rng.shuffle([0, 1, 2])
+            continue
+        order = name.split("x")
+        rng.shuffle(order)
+        out.append(order)
+    return out
+
+
+def _assert_product_path_matches_dixon_schneider(g):
+    assert g.factors is not None
+    got = _sorted_rows(_compute(g))
+    expect = _sorted_rows(_dixon_schneider(g))
+    assert got.degrees == expect.degrees
+    assert got.serialize() == expect.serialize()
+
+
+@pytest.mark.parametrize("a, b", CORPUS_PAIRS)
+def test_product_table_matches_dixon_schneider_on_corpus_pairs(a, b):
+    _assert_product_path_matches_dixon_schneider(
+        direct_product(_corpus()[a], _corpus()[b]))
+
+
+@pytest.mark.parametrize("name", ["S3xS3xS3", "C2xC2xQ8", "C2xC2xA4"])
+def test_product_table_matches_dixon_schneider_on_three_factors(name):
+    # ((G1 x G2) x G3): the left factor's table is itself a product table
+    g = named_group(name)
+    assert g.factors[0].factors is not None
+    _assert_product_path_matches_dixon_schneider(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_product_table_matches_dixon_schneider_on_the_benchmark_pool(seed):
+    orders = _pool_factor_orders(seed)
+    assert len(orders) == len(CHARTAB_POOL) - 1
+    for order in orders:
+        spec = {"kind": "named",
+                "product": [{"kind": "named", "name": f} for f in order]}
+        _assert_product_path_matches_dixon_schneider(group_from_json(spec))
+
+
+def _reversed_classes(g):
+    g._classes = g.conjugacy_classes()[::-1]
+    g._class_map = None
+
+
+def _swapped_factors(g):
+    g.factors = g.factors[::-1]
+
+
+@pytest.mark.parametrize("damage", [_reversed_classes, _swapped_factors],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_product_classes_out_of_the_factors_order_are_an_inconsistency(damage):
+    g = direct_product(named_group("S3"), named_group("C4"))
+    damage(g)
+    with pytest.raises(InternalInconsistency, match="factors' classes"):
+        character_table(g, use_cache=False)
+
+
+def test_cold_product_writes_one_cache_file_of_the_dixon_schneider_table(
+        capsys, tmp_path):
+    spec = {"kind": "named", "product": [{"kind": "named", "name": f}
+                                         for f in ("S3", "C2", "Q8")]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    cache = tmp_path / "cache"
+    assert main(["chartab", str(path), "--full", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    g = group_from_json(spec)
+    (written,) = cache.iterdir()
+    assert written == _cache_path(g, str(cache))
+    assert written.read_bytes() == \
+        json.dumps(_sorted_rows(_dixon_schneider(g)).serialize()).encode()
+
+
+def test_a_factors_own_table_is_reused(monkeypatch):
+    s4, c3 = named_group("S4"), named_group("C3")
+    held = character_table(s4)
+    g = direct_product(s4, c3)
+    computed = []
+
+    def spy(h):
+        computed.append(h)
+        return _dixon_schneider(h)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", spy)
+    t = character_table(g, use_cache=False)
+    assert computed == [c3]
+    assert s4._table is held and c3._table is None
+    assert t.serialize() == _sorted_rows(_dixon_schneider(g)).serialize()

@@ -31,6 +31,7 @@ from edimkit.mhom import (
     weight_decompose,
 )
 from edimkit.poly import Polynomial, parse_polynomial
+from test_ntheory import rational_rref
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -190,6 +191,34 @@ def test_matrix_rank_examples():
     assert matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert matrix_rank([[0, 0], [0, 0]]) == 0
     assert matrix_rank([]) == 0
+
+
+def _low_rank(rng, m, n, k, entry):
+    """An m x n product of an m x k and a k x n matrix of entry() values."""
+    a = [[entry() for _ in range(k)] for _ in range(m)]
+    b = [[entry() for _ in range(n)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_matrix_rank_matches_the_rational_rref(kind):
+    rng = random.Random(f"rank:{kind}")
+    if kind == "int":
+        def entry():
+            return rng.choice([0, 0, 1, -1, rng.randint(-9, 9),
+                               rng.randint(-2 ** 70, 2 ** 70)])
+    else:
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 2 ** 40 + 1]))
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _low_rank(rng, m, n, rng.randint(0, min(m, n)), entry)
+        if rng.random() < 0.3:
+            col = rng.randrange(n)  # a zero column ahead of the pivots
+            for row in rows:
+                row[col] = 0 * row[col]
+        assert matrix_rank(rows) == len(rational_rref(rows)[1]), rows
 
 
 def test_parser():

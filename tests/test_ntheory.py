@@ -12,7 +12,7 @@ from edimkit.errors import BackendLimit
 from edimkit.fields import cyclotomic_field
 from edimkit.named import named_group
 from edimkit.ntheory import factorize, is_prime, prime_power_base, primitive_root
-from edimkit.snf import identity, mat_mul, rational_rref, smith_normal_form
+from edimkit.snf import identity, mat_mul, smith_normal_form
 
 N = 2000
 PRIMES = [p for p in range(2, N + 1) if all(p % d for d in range(2, p))]
@@ -87,6 +87,30 @@ def test_primitive_root_brute_force():
     for q in PRIMES:
         expect = next(g for g in range(1, q) if _multiplicative_order(g, q) == q - 1)
         assert primitive_root(q) == expect, q
+
+
+def rational_rref(mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (nonzero rows, their pivot columns).
+    The oracle for `mhom.matrix_rank`."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
 def test_rational_rref_rank_deficient():

@@ -196,3 +196,30 @@ def test_bool_literals_are_rejected(text, literal):
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError, match=message):
         parse_polynomial(text, NAMES)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x + y/(x - x)", "division only by nonzero constants", 4),
+    ("y^2 + x/y", "division only by nonzero constants", 6),
+    ("x + y^True", "unsupported literal True", 4),
+    ("x + y**-1", "exponent must be a nonnegative integer", 4),
+    ("x + x % 2", "unsupported operator Mod", 4),
+    ("x*y + w", "unknown variable 'w'", 6),
+    ("(x +\n 1.5)", "unsupported literal 1.5", 6),
+    ("x - ~y", "unsupported unary operator", 4),
+    ("x + f(y)", "unsupported syntax Call", 4),
+], ids=["division", "caret-shift", "bool-exponent", "exponent", "operator",
+        "variable", "literal-second-line", "unary", "syntax"])
+def test_walk_errors_report_the_offending_subexpression(text, message, position):
+    # offsets are characters of the input: ^ counts once, though it is
+    # parsed as **, and a newline counts once
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, NAMES)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
+def test_walk_error_offsets_count_characters_not_bytes():
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("é + é/(x - x)", ["é", "x"])
+    assert exc.value.position == 4

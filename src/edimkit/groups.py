@@ -6,11 +6,16 @@ answers one primitive, mul(a, b), on indices or integer arrays of them,
 broadcasting like numpy indexing: a dense table (up to TABLE_LIMIT elements)
 is table[a, b]; a permutation group is an N x degree small-int array plus a
 short base, the first points whose images separate all N elements, and a*b is
-found by its base images among the sorted base keys; a direct product works
-componentwise on a1 * |G2| + a2; a quotient multiplies coset representatives
-in its parent.  Whole-group data are numpy forms over mul, except that on a
-table (mostly tiny) subgroup closures and classes walk element by element.
-Checked tables have their associativity verified in full by Light's test.
+found by its base images, packed into one key: an array indexed by the key
+names the element directly while it needs at most 64 entries per element
+(degree**len(base) <= 64 N), else the key is binary-searched among the sorted
+keys of the elements; a direct product works componentwise on
+a1 * |G2| + a2; a quotient multiplies coset representatives in its parent.
+Whole-group data are numpy forms over mul: above the table limit the classes
+are orbit labels (each element labelled with the least element of its class)
+and closures grow a layer at a time, while on a table (mostly tiny) subgroup
+closures and classes walk element by element.  Checked tables have their
+associativity verified in full by Light's test.
 """
 
 from __future__ import annotations
@@ -42,6 +47,17 @@ def _keys(rows: np.ndarray, degree: int) -> np.ndarray:
         return rows @ degree ** np.arange(width, dtype=np.int64)
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, width * rows.itemsize)))[..., 0]
+
+
+def _merge(known: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted arrays without a common entry."""
+    at = known.searchsorted(new) + np.arange(len(new))
+    out = np.empty(len(known) + len(new), dtype=known.dtype)
+    rest = np.ones(len(out), dtype=bool)
+    rest[at] = False
+    out[at] = new
+    out[rest] = known
+    return out
 
 
 def _base(perms: np.ndarray) -> list[int]:
@@ -83,15 +99,28 @@ class TableBackend(_Backend):
 
 
 class PermBackend(_Backend):
-    """Elements as the rows of an N x degree array, found by base images."""
+    """Elements as the rows of an N x degree array, found by base images.
+
+    While there are at most 64 possible base-image keys per element, lookup
+    maps each key straight to its element (-1 for no element); otherwise an
+    element is found by binary search among the sorted keys.
+    """
 
     def __init__(self, perms: np.ndarray):
         self.order, self.degree = perms.shape
         self.perms = perms
+        self.flat = perms.ravel()
         self.base = _base(perms)
-        keys = _keys(perms[:, self.base], self.degree)
-        self.sorter = np.argsort(keys)
-        self.keys = keys[self.sorter]
+        self.images = perms[:, self.base]
+        keys = _keys(self.images, self.degree)
+        self.lookup: Optional[np.ndarray] = None
+        span = self.degree ** len(self.base)
+        if span <= 64 * self.order:
+            self.lookup = np.full(span, -1, dtype=np.int32)
+            self.lookup[keys] = np.arange(self.order, dtype=np.int32)
+        else:
+            self.sorter = np.argsort(keys)
+            self.keys = keys[self.sorter]
         inverse = np.empty_like(perms)
         inverse[np.arange(self.order)[:, None], perms] = np.arange(
             self.degree, dtype=perms.dtype)
@@ -100,6 +129,11 @@ class PermBackend(_Backend):
     def index(self, images: np.ndarray) -> np.ndarray:
         """The elements with the given base images (last axis)."""
         keys = _keys(images, self.degree)
+        if self.lookup is not None:
+            found = self.lookup[keys]
+            if (found < 0).any():
+                raise InternalInconsistency("base images of no element of the group")
+            return found
         pos = np.minimum(np.searchsorted(self.keys, keys), self.order - 1)
         if not np.all(self.keys[pos] == keys):
             raise InternalInconsistency("base images of no element of the group")
@@ -107,8 +141,8 @@ class PermBackend(_Backend):
 
     def mul(self, a, b):
         # (a*b)(x) = a(b(x)), read on the base points
-        b_images = self.perms[np.asarray(b)[..., None], self.base]
-        return self.index(self.perms[np.asarray(a)[..., None], b_images])
+        a = np.asarray(a, dtype=np.intp)[..., None]
+        return self.index(self.flat[a * self.degree + self.images[b]])
 
 
 class PairBackend(_Backend):
@@ -249,15 +283,18 @@ class FiniteGroup:
         return self.element_orders()[g]
 
     def element_orders(self) -> list[int]:
-        """Order of every element: g^k is multiplied by g until it is 1."""
+        """Order of every element: g^k is multiplied by g until it is 1,
+        for the elements g whose order is still unknown."""
         if self._orders is None:
-            every = np.arange(self.order)
             orders = np.ones(self.order, dtype=np.int64)
-            power, alive = every, every != 0
-            while alive.any():
-                orders += alive
-                power = self.backend.mul(power, every)
-                alive &= power != 0
+            alive = power = np.arange(1, self.order)
+            k = 1
+            while alive.size:
+                k += 1
+                power = self.backend.mul(power, alive)
+                orders[alive] = k
+                keep = power != 0
+                alive, power = alive[keep], power[keep]
             self._orders = orders.tolist()
         return self._orders
 
@@ -281,9 +318,12 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[frozenset]:
         """Partition into conjugation orbits, ordered by minimal element.
 
-        A table walks each orbit under conjugation by the generators; any
-        other backend takes the least unplaced element x and all of its
-        conjugates g^-1 x g in one column.
+        A table walks each orbit under conjugation by the generators.  Any
+        other backend labels every element with the least element of its
+        orbit: each label takes the least label of its conjugates
+        s^-1 x s by the generators s and of the element it names (pointer
+        jumping), until no label changes.  A stable labelling is constant
+        on the cycles of each generator's conjugation, hence on the orbits.
         """
         if self._classes is None:
             classes, t = [], self.backend.table
@@ -304,13 +344,20 @@ class FiniteGroup:
                     classes.append(frozenset(orbit))
             else:
                 every = np.arange(self.order)
-                unplaced = np.ones(self.order, dtype=bool)
-                while unplaced.any():
-                    x = int(np.argmax(unplaced))
-                    members = np.unique(self.backend.mul(
-                        self.backend.mul(self.backend.inverse, x), every))
-                    unplaced[members] = False
-                    classes.append(frozenset(members.tolist()))
+                mul, inverse = self.backend.mul, self.backend.inverse
+                moves = [mul(mul(inverse[s], every), s) for s in self.generators]
+                label = every
+                while True:
+                    new = label
+                    for move in moves:
+                        new = np.minimum(new, new[move])
+                    new = new[new]
+                    if np.array_equal(new, label):
+                        break
+                    label = new
+                members = np.argsort(label, kind="stable")
+                cuts = np.flatnonzero(np.diff(label[members])) + 1
+                classes = [frozenset(c.tolist()) for c in np.split(members, cuts)]
             self._classes = classes
         return self._classes
 
@@ -544,9 +591,6 @@ class Subgroup:
             for g in p.generators
         )
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, self.elements & other.elements)
-
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Standalone group on the subgroup's elements.
 
@@ -624,7 +668,11 @@ def from_generators(perms: Sequence[Sequence[int]], degree: Optional[int] = None
         layers.append(step[found])
         keys.append(step_keys[found])
         products.append(step_keys)
-        known = np.sort(np.concatenate([known, new_keys]))
+        if known.dtype.kind == "V":
+            # merging the sorted new keys is cheaper than re-sorting bytes
+            known = _merge(known, new_keys)
+        else:
+            known = np.sort(np.concatenate([known, new_keys]))
     perms_array = np.concatenate(layers)
     index = np.argsort(np.concatenate(keys))
     right = index[known.searchsorted(np.concatenate(products))].reshape(n, m)

@@ -203,18 +203,25 @@ class Polynomial:
         return self.render([f"v{i}" for i in range(self.nvars)])
 
 
-def _error(text: str, node: ast.expr, message: str) -> ParseError:
-    """A ParseError at node's 0-based character offset in text, which was
-    parsed with each ^ written as ** (ast offsets count UTF-8 bytes)."""
+def _offset(text: str, lineno: int, col: int) -> int:
+    """The 0-based offset in text of character col of line lineno (1-based)
+    in text with each ^ written as **, the source that ast parses."""
     lines = text.replace("^", "**").split("\n")
-    line = lines[node.lineno - 1].encode()[:node.col_offset]
-    target = sum(len(s) + 1 for s in lines[:node.lineno - 1]) + len(line.decode())
+    target = sum(len(s) + 1 for s in lines[:lineno - 1]) + col
     pos = 0
     for i, ch in enumerate(text):
         if pos >= target:
-            return ParseError(message, i)
+            return i
         pos += 2 if ch == "^" else 1
-    return ParseError(message, len(text))
+    return len(text)
+
+
+def _error(text: str, node: ast.expr, message: str) -> ParseError:
+    """A ParseError at node's 0-based character offset in text (ast offsets
+    count UTF-8 bytes)."""
+    line = text.replace("^", "**").split("\n")[node.lineno - 1]
+    col = len(line.encode()[:node.col_offset].decode())
+    return ParseError(message, _offset(text, node.lineno, col))
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
@@ -234,8 +241,11 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
-        raise ParseError(f"bad polynomial expression: {exc.msg}",
-                         exc.offset or 0) from None
+        # exc.offset counts characters from 1; Python gives none for an
+        # error at the end of the input (or for a NUL byte)
+        pos = _offset(text, exc.lineno, exc.offset - 1) \
+            if exc.lineno and exc.offset else len(text)
+        raise ParseError(f"bad polynomial expression: {exc.msg}", pos) from None
 
     def walk(node) -> dict:
         if isinstance(node, ast.BinOp):

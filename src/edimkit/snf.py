@@ -17,12 +17,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def smith_normal_form(mat: list[list[int]]):
     """Return (D, P, Q, Q^-1) with P·mat·Q = D diagonal, d_1 | d_2 | ...,
     d_i >= 0.

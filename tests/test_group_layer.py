@@ -23,6 +23,7 @@ from edimkit.groups import (
     from_generators,
 )
 from edimkit.named import corpus, cyclic, dihedral, load_group, named_group
+from edimkit.ntheory import primitive_root
 from test_groups import normal_subgroups_bruteforce
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "edimkit" / "fixtures"
@@ -238,12 +239,17 @@ def test_quotient_backend_matches_coset_arithmetic(agl_mod_c2):
                          lambda a: proj[g.inv(reps[a])])
 
 
-def test_base_keys_compared_as_bytes_beyond_int64():
-    # C2^14 on 28 points: the base is one point of each pair, and
-    # 28^14 >= 2^63, so base images are compared as bytes
-    gens = [[2 * i + 1 - (x - 2 * i) if x // 2 == i else x for x in range(28)]
-            for i in range(14)]
-    g = from_generators(gens)
+@pytest.fixture(scope="module")
+def c2_14():
+    """C2^14 on 28 points, each generator swapping one pair 2i, 2i + 1."""
+    return from_generators([[2 * i + 1 - (x - 2 * i) if x // 2 == i else x
+                             for x in range(28)] for i in range(14)])
+
+
+def test_base_keys_compared_as_bytes_beyond_int64(c2_14):
+    # the base is one point of each pair, and 28^14 >= 2^63, so base images
+    # are compared as bytes
+    g = c2_14
     assert g.order == 2 ** 14 and isinstance(g.backend, PermBackend)
     assert len(g.backend.base) == 14 and g.backend.keys.dtype.kind == "V"
     perms = [tuple(p) for p in g.perms.tolist()]
@@ -258,3 +264,120 @@ def test_base_images_of_no_element_raise(agl_1_67):
     # x -> a x + b sends 0 and 1 to distinct points
     with pytest.raises(InternalInconsistency, match="no element"):
         g.backend.index(np.array([5, 5]))
+
+
+def test_base_images_of_no_element_raise_on_the_searchsorted_path(c2_14):
+    # base point 2 is only ever sent to 2 or 3
+    assert c2_14.backend.lookup is None
+    with pytest.raises(InternalInconsistency, match="no element"):
+        c2_14.backend.index(np.zeros(14, dtype=np.int16))
+
+
+def test_index_path_follows_the_size_rule(agl_1_67, c2_14):
+    # a lookup array while degree**len(base) <= 64 * order, else binary search
+    agl = agl_1_67.backend
+    assert agl.lookup is not None and len(agl.lookup) == 67 ** 2 <= 64 * 4422
+    assert sorted(agl.lookup[agl.lookup >= 0].tolist()) == list(range(agl.order))
+    assert c2_14.backend.lookup is None and 28 ** 14 > 64 * 2 ** 14
+
+
+def bfs_elements(gens):
+    """The permutations of the generated group in element-by-element
+    breadth-first order, each element times each generator in turn."""
+    identity = tuple(range(len(gens[0])))
+    seen, queue = {identity}, [identity]
+    for x in queue:
+        for s in gens:
+            y = compose(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return queue
+
+
+def affine_line(p):
+    r = primitive_root(p)
+    return [[r * x % p for x in range(p)], [(x + 1) % p for x in range(p)]]
+
+
+# the closure keys whole rows: packed ints on the smoke groups' few points,
+# bytes (merged layer by layer) on the 17 and 67 points of the affine lines
+CLOSURES = {**SMOKE, "AGL1_17": affine_line(17), "AGL1_67": affine_line(67)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_closure_order_is_breadth_first(name):
+    g = from_generators(CLOSURES[name])
+    gens = [tuple(p) for p in CLOSURES[name]]
+    assert [tuple(p) for p in g.perms.tolist()] == bfs_elements(gens)
+
+
+# the per-element algorithms that orbit labels and shrinking power lists
+# replaced above the table limit
+
+
+def class_of(g, x):
+    """The conjugates g^-1 x g of x, for every g, in one column."""
+    every = np.arange(g.order)
+    return np.unique(g.backend.mul(g.backend.mul(g.backend.inverse, x), every))
+
+
+def classes_oracle(g):
+    """The least unplaced element and all of its conjugates, until every
+    element is placed."""
+    unplaced = np.ones(g.order, dtype=bool)
+    classes = []
+    while unplaced.any():
+        members = class_of(g, int(np.argmax(unplaced)))
+        unplaced[members] = False
+        classes.append(frozenset(members.tolist()))
+    return classes
+
+
+def element_orders_oracle(g):
+    """Every power list multiplied by every element until all are 1."""
+    every = np.arange(g.order)
+    orders = np.ones(g.order, dtype=np.int64)
+    power, alive = every, every != 0
+    while alive.any():
+        orders += alive
+        power = g.backend.mul(power, every)
+        alive &= power != 0
+    return orders.tolist()
+
+
+@pytest.fixture(scope="module")
+def large_groups(agl_1_67, c2_14, s5xa5, agl_mod_c2):
+    return {"AGL(1,67)": agl_1_67, "C2^14": c2_14, "S5xA5": s5xa5,
+            "AGL(1,67)xC2/C2": agl_mod_c2.target}
+
+
+@pytest.mark.parametrize("name", ["AGL(1,67)", "S5xA5", "AGL(1,67)xC2/C2"])
+def test_classes_above_the_table_limit_match_the_per_element_oracle(large_groups, name):
+    g = large_groups[name]
+    assert g.backend.table is None
+    assert g.conjugacy_classes() == classes_oracle(g)
+
+
+def test_classes_of_a_byte_key_group_match_the_oracle_on_a_sample(c2_14):
+    # 2^14 singleton classes: the whole oracle would form 2^14 columns
+    g = c2_14
+    classes = g.conjugacy_classes()
+    assert [min(c) for c in classes] == list(range(g.order))
+    rng = np.random.default_rng(20261020)
+    for x in [0, g.order - 1] + rng.integers(0, g.order, 30).tolist():
+        assert classes[g.class_map()[x]] == frozenset(class_of(g, x).tolist())
+
+
+@pytest.mark.parametrize("name", ["AGL(1,67)", "C2^14", "S5xA5", "AGL(1,67)xC2/C2"])
+def test_element_orders_above_the_table_limit_match_the_oracle(large_groups, name):
+    g = large_groups[name]
+    assert g.element_orders() == element_orders_oracle(g)
+
+
+@pytest.mark.slow
+def test_2a8_classes_and_orders_match_the_oracles():
+    g = load_group(str(FIXTURE_DIR / "2a8.json"))
+    assert g.backend.lookup is None and 240 ** 4 > 64 * g.order
+    assert g.conjugacy_classes() == classes_oracle(g)
+    assert g.element_orders() == element_orders_oracle(g)

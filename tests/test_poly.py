@@ -223,3 +223,19 @@ def test_walk_error_offsets_count_characters_not_bytes():
     with pytest.raises(ParseError) as exc:
         parse_polynomial("é + é/(x - x)", ["é", "x"])
     assert exc.value.position == 4
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x^2^2 + )", "unmatched ')'", 8),
+    (") + x", "unmatched ')'", 0),
+    ("x +", "invalid syntax", 3),
+    ("é + )", "unmatched ')'", 4),
+], ids=["caret-shift", "start", "end-of-input", "non-ascii"])
+def test_syntax_errors_report_input_offsets(text, message, position):
+    # the same 0-based input offsets as the walk's errors, and the length of
+    # the input for an error at its end
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, ["x", "é"])
+    assert exc.value.position == position
+    assert str(exc.value) == \
+        f"bad polynomial expression: {message} (at position {position})"

@@ -103,7 +103,10 @@ class PermBackend(_Backend):
 
     While there are at most 64 possible base-image keys per element, lookup
     maps each key straight to its element (-1 for no element); otherwise an
-    element is found by binary search among the sorted keys.
+    element is found by binary search among the sorted keys.  The 64 is a
+    memory cap (256 bytes per element, 12.8 MB at ELEMENT_CAP): lookups beat
+    the binary search at every measured ratio, and up to 64 filling the
+    array costs no more than sorting the keys.
     """
 
     def __init__(self, perms: np.ndarray):
@@ -669,7 +672,9 @@ def from_generators(perms: Sequence[Sequence[int]], degree: Optional[int] = None
         keys.append(step_keys[found])
         products.append(step_keys)
         if known.dtype.kind == "V":
-            # merging the sorted new keys is cheaper than re-sorting bytes
+            # bytes sort by comparisons, which the merge beats from about 32
+            # keys on; int64 keys re-sort faster than they merge at every
+            # measured size (4 to 40,000 keys)
             known = _merge(known, new_keys)
         else:
             known = np.sort(np.concatenate([known, new_keys]))

@@ -281,6 +281,22 @@ def test_index_path_follows_the_size_rule(agl_1_67, c2_14):
     assert c2_14.backend.lookup is None and 28 ** 14 > 64 * 2 ** 14
 
 
+@pytest.mark.parametrize("degree, direct", [(560, True), (561, False)])
+def test_index_path_at_the_size_bound(degree, direct):
+    # C70 x C70 on two 70-cycles plus fixed points: base [0, 70], so
+    # degree**2 against 64 * 4900 = 560**2 picks the path
+    a, b = list(range(degree)), list(range(degree))
+    a[:70] = [(i + 1) % 70 for i in range(70)]
+    b[70:140] = [70 + (i + 1) % 70 for i in range(70)]
+    g = from_generators([a, b])
+    assert g.order == 4900 and g.backend.base == [0, 70]
+    assert (g.backend.lookup is not None) == direct
+    x = np.arange(g.order)
+    y = np.roll(x, 1234)
+    assert np.array_equal(g.perms[g.backend.mul(x, y)],
+                          np.take_along_axis(g.perms[x], g.perms[y], axis=1))
+
+
 def bfs_elements(gens):
     """The permutations of the generated group in element-by-element
     breadth-first order, each element times each generator in turn."""

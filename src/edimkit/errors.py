@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+from typing import Optional
+
 
 class EdimkitError(Exception):
     """Base class for all toolkit errors."""
@@ -62,10 +64,12 @@ class FactConflict(EdimkitError):
 
 
 class ParseError(EdimkitError):
-    """Malformed input text."""
+    """Malformed input text; `position` is the character offset of the fault
+    in the text, or None where no single offset is known."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None
+                         else f"{message} (at position {position})")
         self.position = position
 
 

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials with int coefficients, `Fraction` only
 after division.
 
-Monomials are exponent tuples over a fixed variable list; parsing accepts a
-small expression grammar (+, -, *, ^ or **, parentheses, integer and rational
-literals) via the Python ast module.  A coefficient is a Python int until a
+Monomials are exponent tuples over a fixed variable list; `parse_polynomial`
+reads a small expression grammar (+, -, *, / by constants, ^ or ** to integer
+literals, parentheses, decimal integer literals and the declared names) with
+one regex tokenizer pass and a recursive-descent parser, Python's precedence
+and associativity included.  A coefficient is a Python int until a
 division by a constant (`/` in the grammar, or `scale` by a non-integer)
 makes it a `Fraction`; both print alike, so `render` does not depend on which
 one a term holds.
@@ -11,7 +13,7 @@ one a term holds.
 
 from __future__ import annotations
 
-import ast
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -203,92 +205,268 @@ class Polynomial:
         return self.render([f"v{i}" for i in range(self.nvars)])
 
 
-def _offset(text: str, lineno: int, col: int) -> int:
-    """The 0-based offset in text of character col of line lineno (1-based)
-    in text with each ^ written as **, the source that ast parses."""
-    lines = text.replace("^", "**").split("\n")
-    target = sum(len(s) + 1 for s in lines[:lineno - 1]) + col
-    pos = 0
-    for i, ch in enumerate(text):
-        if pos >= target:
-            return i
-        pos += 2 if ch == "^" else 1
-    return len(text)
+# One token per match: a name, `**` (before its one-character prefix), a
+# number with a decimal point as one (rejected) literal, a decimal integer
+# without leading zeros (`0+` or `[1-9][0-9]*`, so `007`, `0x10` and `1_000`
+# split into adjacent tokens), or any other single non-blank character.  So
+# `findall` skips exactly the blanks ` \t\n\r\f`.
+_TOKEN = re.compile(r"[^\W\d]\w*|\*\*|[0-9]+\.[0-9]*|\.[0-9]+|[1-9][0-9]*|0+"
+                    r"|[^ \t\n\r\f]")
+_DIGITS = frozenset("0123456789")
+_UNARY = frozenset("+-~")
+_BOOLS = frozenset(("True", "False"))
+_TRAILING = frozenset(("^", "**", "("))  # what makes a literal no exponent
 
 
-def _error(text: str, node: ast.expr, message: str) -> ParseError:
-    """A ParseError at node's 0-based character offset in text (ast offsets
-    count UTF-8 bytes)."""
-    line = text.replace("^", "**").split("\n")[node.lineno - 1]
-    col = len(line.encode()[:node.col_offset].decode())
-    return ParseError(message, _offset(text, node.lineno, col))
+def _is_int(tok: str) -> bool:
+    return tok[:1] in _DIGITS and "." not in tok
+
+
+def _is_float(tok: str) -> bool:
+    # no other token of two or more characters holds a '.'
+    return len(tok) > 1 and "." in tok
+
+
+class _Parser:
+    """Recursive descent over the tokens of one expression, with Python's
+    precedence and associativity:
+
+        expression → term (('+' | '-') term)*
+        term       → factor (('*' | '/') factor)*
+        factor     → ('-' | '+') factor | atom call* (('**' | '^') factor)?
+        atom       → name | integer | '(' expression ')'
+
+    An exponent must be an integer literal, perhaps parenthesized.  `%`,
+    `~`, calls, `True`, `False` and numbers with a decimal point are parsed
+    only to be reported.
+
+    Values are plain {exponent tuple: coefficient} dicts.  A term whose
+    factors are declared names, integers and their literal powers builds
+    one exponent list and one coefficient; other factors go through
+    `_mul_terms` and `_pow_terms`.  A syntax error raises at once; the
+    first error of meaning is kept in `error` while parsing goes on, so a
+    later syntax error wins over it.  Offsets are characters of the input,
+    recomputed from the tokens only when an error is raised.
+    """
+
+    __slots__ = ("text", "toks", "i", "index", "one", "error")
+
+    def __init__(self, text: str, names: Sequence[str]):
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")        # end of input
+        self.i = 0
+        # only identifiers are names, as in Python; the end marker is none
+        self.index = {n: i for i, n in enumerate(names) if n.isidentifier()}
+        self.one = (0,) * len(names)
+        self.error = None           # (token index, message), the first one
+
+    def fail(self, i: int, message: str) -> None:
+        if self.error is None:
+            self.error = (i, message)
+
+    def syntax_error(self, i: int) -> ParseError:
+        """The error for token i: an unmatched ')' or a '(' never closed
+        anywhere in the input wins, as in Python's tokenizer."""
+        offsets = self.offsets()
+        opened = []
+        for j, tok in enumerate(self.toks):
+            if tok == "(":
+                opened.append(j)
+            elif tok == ")":
+                if not opened:
+                    return ParseError("bad polynomial expression: unmatched ')'",
+                                      offsets[j])
+                opened.pop()
+        if opened:
+            return ParseError("bad polynomial expression: '(' was never closed",
+                              offsets[opened[-1]])
+        return ParseError("bad polynomial expression: invalid syntax", offsets[i])
+
+    def offsets(self) -> list:
+        """The character offset of each token, and of the end of input."""
+        text = self.text
+        return [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+
+    def expression(self) -> dict:
+        toks, index, one = self.toks, self.index, self.one
+        i = self.i
+        out: dict = {}
+        sign = 1
+        while True:
+            start = i               # a term's errors are reported here
+            coef = 1
+            exps = [0] * len(one)
+            rest = None             # product of the factors off the fast path
+            op = "*"
+            while True:
+                f = i
+                tok = toks[i]
+                neg = False
+                while tok == "-" or tok == "+":
+                    if tok == "-":
+                        neg = not neg
+                    i += 1
+                    tok = toks[i]
+                var = index.get(tok)
+                k = None
+                if var is not None or tok[:1] in _DIGITS and "." not in tok:
+                    nxt = toks[i + 1]
+                    if nxt == "^" or nxt == "**":
+                        lit = toks[i + 2]
+                        if lit[:1] in _DIGITS and "." not in lit \
+                                and toks[i + 3] not in _TRAILING:
+                            k = int(lit)
+                            i += 3
+                    elif nxt != "(":
+                        k = 1
+                        i += 1
+                if k is not None:
+                    if var is not None and k:
+                        if op == "*":
+                            exps[var] += k
+                            if neg:
+                                coef = -coef
+                        elif op == "/":
+                            self.fail(start, "division only by nonzero constants")
+                    else:
+                        c = 1 if var is not None else int(tok) ** k
+                        if neg:
+                            c = -c
+                        if op == "*":
+                            coef *= c
+                        elif op == "/":
+                            if c:
+                                coef *= Fraction(1) / c
+                            else:
+                                self.fail(start, "division only by nonzero constants")
+                else:
+                    self.i = f
+                    value = self.factor()
+                    i = self.i
+                    if op == "*":
+                        if rest is None:
+                            rest = value
+                        elif self.error is None:
+                            rest = _mul_terms(rest, value)
+                    elif op == "/":
+                        value = {m: c for m, c in value.items() if c}
+                        if list(value) == [one]:
+                            coef *= Fraction(1) / value[one]
+                        else:
+                            self.fail(start, "division only by nonzero constants")
+                op = toks[i]
+                if op == "%":
+                    self.fail(start, "unsupported operator Mod")
+                elif op != "*" and op != "/":
+                    break
+                i += 1
+            if rest is None:
+                m = tuple(exps)
+                out[m] = out.get(m, 0) + sign * coef
+            elif self.error is None:
+                _add_terms(out, _mul_terms({tuple(exps): coef}, rest), sign)
+            op = toks[i]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
+            else:
+                self.i = i
+                return out
+            i += 1
+
+    def factor(self) -> dict:
+        toks, one = self.toks, self.one
+        i = self.i
+        neg = False
+        tok = toks[i]
+        while tok in _UNARY:
+            if tok == "-":
+                neg = not neg
+            elif tok == "~":
+                self.fail(i, "unsupported unary operator")
+            i += 1
+            tok = toks[i]
+        start = i
+        value: dict = {}
+        if tok and tok != "(" and toks[i + 1] == "(":
+            self.fail(i, "unsupported syntax Call")   # before the callee's errors
+        if tok == "(":
+            self.i = i + 1
+            value = self.expression()
+            i = self.i
+            if toks[i] != ")":
+                raise self.syntax_error(i)
+        elif tok in self.index:
+            mono = [0] * len(one)
+            mono[self.index[tok]] = 1
+            value = {tuple(mono): 1}
+        elif _is_int(tok):
+            value = {one: int(tok)}
+        elif _is_float(tok):
+            self.fail(i, f"unsupported literal {float(tok)!r}")
+        elif tok in _BOOLS:
+            self.fail(i, f"unsupported literal {tok}")
+        elif tok[:1] == "_" or tok[:1].isalpha():
+            self.fail(i, f"unknown variable {tok!r}")
+        else:
+            raise self.syntax_error(i)
+        i += 1
+        while toks[i] == "(":
+            self.i = i + 1
+            if toks[i + 1] != ")":
+                self.expression()
+            i = self.i
+            if toks[i] != ")":
+                raise self.syntax_error(i)
+            i += 1
+            self.fail(start, "unsupported syntax Call")
+        if toks[i] == "^" or toks[i] == "**":
+            # the exponent must be an integer literal, perhaps parenthesized
+            i += 1
+            j = i
+            while toks[j] == "(":
+                j += 1
+            lit, n = toks[j], j - i
+            if (_is_int(lit) or lit in _BOOLS and lit not in self.index) \
+                    and toks[j + 1:j + 1 + n] == [")"] * n \
+                    and toks[j + 1 + n] not in _TRAILING:
+                i = j + 1 + n
+                if lit in _BOOLS:
+                    self.fail(start, f"unsupported literal {lit}")
+                elif self.error is None:
+                    value = _pow_terms(value, int(lit), one)
+            else:
+                self.fail(start, "exponent must be a nonnegative integer")
+                self.i = i
+                self.factor()
+                i = self.i
+        self.i = i
+        return {m: -c for m, c in value.items()} if neg else value
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
-    """Parse +, -, *, ^ (or **), parentheses, integers, and fractions a/b.
+    """Parse `+ - * / ^` (or `**`), parentheses, decimal integers and the
+    declared names; `/` only by a nonzero constant, `^` only to an integer
+    literal.
 
-    An error in the expression reports the offset of the subexpression that
-    it concerns: `x + y/(x - x)` fails at 4, where `y/(x - x)` begins.
-
-    The walk works on plain {exponent tuple: coefficient} dicts, each owned
-    by its caller, so sums update their left operand in place; one
-    Polynomial is built at the end.
+    An error reports the character offset of the subexpression it concerns:
+    `x + y/(x - x)` fails at 4, where `y/(x - x)` begins.
     """
-    nv = len(names)
-    one = (0,) * nv
-    unit = {n: one[:i] + (1,) + one[i + 1:] for i, n in enumerate(names)}
-    src = text.replace("^", "**")
+    p = _Parser(text, names)
     try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        # exc.offset counts characters from 1; Python gives none for an
-        # error at the end of the input (or for a NUL byte)
-        pos = _offset(text, exc.lineno, exc.offset - 1) \
-            if exc.lineno and exc.offset else len(text)
-        raise ParseError(f"bad polynomial expression: {exc.msg}", pos) from None
-
-    def walk(node) -> dict:
-        if isinstance(node, ast.BinOp):
-            op = node.op
-            if isinstance(op, ast.Add):
-                return _add_terms(walk(node.left), walk(node.right))
-            if isinstance(op, ast.Sub):
-                return _add_terms(walk(node.left), walk(node.right), -1)
-            if isinstance(op, ast.Mult):
-                return _mul_terms(walk(node.left), walk(node.right))
-            if isinstance(op, ast.Div):
-                right = {m: c for m, c in walk(node.right).items() if c}
-                if list(right) != [one]:
-                    raise _error(text, node, "division only by nonzero constants")
-                q = Fraction(1) / right[one]
-                return {m: c * q for m, c in walk(node.left).items()}
-            if isinstance(op, ast.Pow):
-                exp = node.right
-                k = exp.value if isinstance(exp, ast.Constant) else None
-                if type(k) is bool:
-                    raise _error(text, node, f"unsupported literal {k!r}")
-                if type(k) is not int or k < 0:
-                    raise _error(text, node, "exponent must be a nonnegative integer")
-                return _pow_terms(walk(node.left), k, one)
-            raise _error(text, node, f"unsupported operator {type(op).__name__}")
-        if isinstance(node, ast.Name):
-            if node.id not in unit:
-                raise _error(text, node, f"unknown variable {node.id!r}")
-            return {unit[node.id]: 1}
-        if isinstance(node, ast.Constant):
-            # bool is a subclass of int, but True is no polynomial literal
-            if type(node.value) is int:
-                return {one: node.value}
-            raise _error(text, node, f"unsupported literal {node.value!r}")
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return {m: -c for m, c in walk(node.operand).items()}
-            if isinstance(node.op, ast.UAdd):
-                return walk(node.operand)
-            raise _error(text, node, "unsupported unary operator")
-        raise _error(text, node, f"unsupported syntax {type(node).__name__}")
-
-    return Polynomial(nv, walk(tree.body))
+        terms = p.expression()
+    except RecursionError:
+        raise ParseError("bad polynomial expression: too deeply nested") from None
+    except ValueError as exc:   # an integer literal beyond int's digit limit
+        raise ParseError(f"bad polynomial expression: {exc}") from None
+    if p.toks[p.i]:
+        raise p.syntax_error(p.i)
+    if p.error is not None:
+        i, message = p.error
+        raise ParseError(message, p.offsets()[i])
+    return Polynomial(len(names), terms)
 
 
 def _as_constant(p: Polynomial):

@@ -1,15 +1,14 @@
 """Reference computations that only tests use: integer matrix products,
-subgroup intersections, elementary-divisor coordinates back to elements,
-integer kernels, and the constructive generator shift of the
-elementary-divisor lemma."""
+subgroup intersections, elementary-divisor coordinates back to elements, and
+a polynomial parser built on Python's own `ast` module."""
 
-import math
+import ast
+from fractions import Fraction
 
 from edimkit.abelian import AbelianStructure
-from edimkit.errors import PreconditionViolated
+from edimkit.errors import ParseError
 from edimkit.groups import Subgroup
-from edimkit.ntheory import factorize
-from edimkit.snf import smith_normal_form
+from edimkit.poly import Polynomial, _add_terms, _mul_terms, _pow_terms
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -28,95 +27,85 @@ def from_vector(st: AbelianStructure, vec) -> int:
     return next(x for x, v in st.to_vec.items() if v == key)
 
 
-def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Basis (rows) of the lattice {v : mat · v = 0} for an integer matrix."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    d, _, q, _ = smith_normal_form(mat)
-    rank = 0
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            rank += 1
-    # kernel spanned by columns rank..cols-1 of q
-    return [[q[i][j] for i in range(cols)] for j in range(rank, cols)]
+def _offset(text: str, lineno: int, col: int) -> int:
+    """The 0-based offset in text of character col of line lineno (1-based)
+    in text with each ^ written as **, the source that ast parses."""
+    lines = text.replace("^", "**").split("\n")
+    target = sum(len(s) + 1 for s in lines[:lineno - 1]) + col
+    pos = 0
+    for i, ch in enumerate(text):
+        if pos >= target:
+            return i
+        pos += 2 if ch == "^" else 1
+    return len(text)
 
 
-def _coprime_relation(a: AbelianStructure, elems: list[int]) -> list[int]:
-    """Coprime integer vector e with sum e_i * elems_i = 0 in the subgroup.
-
-    Exists whenever rank of the generated subgroup < len(elems).
-    """
-    r = len(a.divisors)
-    k = len(elems)
-    cols = [a.to_vector(x) for x in elems]
-    # kernel of Z^(k+r) -> Z^r, (v, w) -> X v + diag(d) w; project to v
-    mat = [[cols[j][i] for j in range(k)] +
-           [a.divisors[i] if t == i else 0 for t in range(r)]
-           for i in range(r)]
-    basis = [row[:k] for row in integer_kernel_basis(mat)]
-    basis = [row for row in basis if any(row)]
-    if not basis:
-        raise PreconditionViolated("no relation among the given elements")
-    d, _, _, qinv = smith_normal_form(basis)
-    if d[0][0] != 1:
-        raise PreconditionViolated("rank of generated subgroup is not below tuple size")
-    vec = qinv[0]
-    if math.gcd(*vec) != 1:
-        raise PreconditionViolated("relation vector not coprime")
-    return vec
+def _error(text: str, node: ast.expr, message: str) -> ParseError:
+    """A ParseError at node's 0-based character offset in text (ast offsets
+    count UTF-8 bytes)."""
+    line = text.replace("^", "**").split("\n")[node.lineno - 1]
+    col = len(line.encode()[:node.col_offset].decode())
+    return ParseError(message, _offset(text, node.lineno, col))
 
 
-def eldiv_shift(a: AbelianStructure, c: list[int], h: int) -> list[int]:
-    """Integers m_i with <c_1 + m_1 h, ..., c_n + m_n h> = <c_1, ..., c_n, h>.
+def ast_parse_polynomial(text: str, names) -> Polynomial:
+    """`poly.parse_polynomial` as it was on Python's parser: `^` becomes
+    `**`, `ast.parse` reads the text, and a walk over the tree evaluates it.
+    It accepts whatever Python's grammar does (hex literals, `_` digit
+    separators, comments) and rejects leading indentation and line breaks
+    outside parentheses."""
+    nv = len(names)
+    one = (0,) * nv
+    unit = {n: one[:i] + (1,) + one[i + 1:] for i, n in enumerate(names)}
+    src = text.replace("^", "**")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        # exc.offset counts characters from 1; Python gives none for an
+        # error at the end of the input (or for a NUL byte)
+        pos = _offset(text, exc.lineno, exc.offset - 1) \
+            if exc.lineno and exc.offset else len(text)
+        raise ParseError(f"bad polynomial expression: {exc.msg}", pos) from None
 
-    Follows the constructive argument: handle each primary part of h in turn
-    via a coprime relation and a unit inverse modulo the prime power, then
-    recombine with the Chinese remainder theorem.  The result is re-verified
-    by an explicit closure check.
-    """
-    p = a.subgroup.parent
-    n = len(c)
-    target = p.subgroup_closure(list(c) + [h])
-    if target != a.subgroup.elements:
-        raise PreconditionViolated("c together with h does not generate A")
-    if a.rank() > n:
-        raise PreconditionViolated("rank exceeds the number of shifted generators")
-    if h == 0:
-        return [0] * n
+    def walk(node) -> dict:
+        if isinstance(node, ast.BinOp):
+            op = node.op
+            if isinstance(op, ast.Add):
+                return _add_terms(walk(node.left), walk(node.right))
+            if isinstance(op, ast.Sub):
+                return _add_terms(walk(node.left), walk(node.right), -1)
+            if isinstance(op, ast.Mult):
+                return _mul_terms(walk(node.left), walk(node.right))
+            if isinstance(op, ast.Div):
+                right = {m: c for m, c in walk(node.right).items() if c}
+                if list(right) != [one]:
+                    raise _error(text, node, "division only by nonzero constants")
+                q = Fraction(1) / right[one]
+                return {m: c * q for m, c in walk(node.left).items()}
+            if isinstance(op, ast.Pow):
+                exp = node.right
+                k = exp.value if isinstance(exp, ast.Constant) else None
+                if type(k) is bool:
+                    raise _error(text, node, f"unsupported literal {k!r}")
+                if type(k) is not int or k < 0:
+                    raise _error(text, node, "exponent must be a nonnegative integer")
+                return _pow_terms(walk(node.left), k, one)
+            raise _error(text, node, f"unsupported operator {type(op).__name__}")
+        if isinstance(node, ast.Name):
+            if node.id not in unit:
+                raise _error(text, node, f"unknown variable {node.id!r}")
+            return {unit[node.id]: 1}
+        if isinstance(node, ast.Constant):
+            # bool is a subclass of int, but True is no polynomial literal
+            if type(node.value) is int:
+                return {one: node.value}
+            raise _error(text, node, f"unsupported literal {node.value!r}")
+        if isinstance(node, ast.UnaryOp):
+            if isinstance(node.op, ast.USub):
+                return {m: -c for m, c in walk(node.operand).items()}
+            if isinstance(node.op, ast.UAdd):
+                return walk(node.operand)
+            raise _error(text, node, "unsupported unary operator")
+        raise _error(text, node, f"unsupported syntax {type(node).__name__}")
 
-    oh = p.element_order(h)
-    fact = factorize(oh)
-    # primary decomposition h = sum_t h_t with h_t = beta_t * h
-    betas = []
-    parts = []
-    for q, l in fact:
-        ql = q ** l
-        rest = oh // ql
-        beta = rest * pow(rest, -1, ql)
-        betas.append(beta % oh)
-        parts.append(p.power(h, beta % oh))
-
-    shifts = [[0] * len(parts) for _ in range(n)]
-    current = list(c)
-    for t, (ht, (q, l)) in enumerate(zip(parts, fact)):
-        ql = q ** l
-        rel = _coprime_relation(a, current + [ht])
-        e = rel[:n]
-        e0 = -rel[n]
-        if e0 % q != 0:
-            pass  # h_t already in <current>, no shift needed
-        else:
-            i = next(idx for idx in range(n) if e[idx] % q != 0)
-            mi = ((1 - e0) * pow(e[i], -1, ql)) % ql
-            shifts[i][t] = mi
-            current[i] = p.mult(current[i], p.power(ht, mi))
-    out = []
-    for i in range(n):
-        m = sum(shifts[i][t] * betas[t] for t in range(len(parts))) % oh
-        out.append(m)
-    shifted = [p.mult(c[i], p.power(h, out[i])) for i in range(n)]
-    if p.subgroup_closure(shifted) != a.subgroup.elements:
-        raise PreconditionViolated("generator shift failed its closure check")
-    return out
+    return Polynomial(nv, walk(tree.body))

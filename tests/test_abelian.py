@@ -1,4 +1,4 @@
-"""Abelian-module machinery: structure, duality, module ranks, shifts."""
+"""Abelian-module machinery: structure, duality, module ranks."""
 
 import itertools
 import math
@@ -19,11 +19,10 @@ from edimkit.abelian import (
     structure,
     submodule_span,
 )
-from edimkit.errors import PreconditionViolated
 from edimkit.groups import Subgroup, all_subgroups, direct_product
-from edimkit.named import corpus, cyclic, dihedral, named_group
+from edimkit.named import corpus, cyclic, named_group
 from edimkit.snf import smith_normal_form
-from oracles import eldiv_shift, from_vector, integer_kernel_basis, mat_mul
+from oracles import from_vector, mat_mul
 
 
 def whole(g):
@@ -68,14 +67,6 @@ def test_snf_divisibility_chain_random():
             for j in range(cols):
                 if i != j:
                     assert d[i][j] == 0
-
-
-def test_integer_kernel_basis():
-    mat = [[2, 4], [1, 2]]
-    ker = integer_kernel_basis(mat)
-    assert len(ker) == 1
-    v = ker[0]
-    assert 2 * v[0] + 4 * v[1] == 0 and v[0] * 1 + 2 * v[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,55 +214,3 @@ def test_cyclic_submodules_cover():
     for s in subs:
         union |= s
     assert union == set(m.all_vectors())
-
-
-# ---------------------------------------------------------------------------
-# coprime shifts (elementary-divisor lemma)
-
-
-def test_eldiv_shift_c4():
-    g = cyclic(4)
-    st = structure(whole(g))
-    # generator c with its square as the shift: c + m*h must still generate
-    c = st.to_vector(1)
-    hvec = st.to_vector(2)
-    m = eldiv_shift(st, [1], 2)
-    shifted = st.add(c, st.scale(m[0], hvec))
-    order = 1
-    acc = shifted
-    while acc != st.zero():
-        acc = st.add(acc, shifted)
-        order += 1
-    assert order == 4
-
-
-def test_eldiv_shift_klein_zero_shift():
-    g = dihedral(2)
-    st = structure(whole(g))
-    gens = [st.gens[0], st.gens[1]]
-    m = eldiv_shift(st, gens, 0)
-    assert m == [0, 0]
-
-
-def test_eldiv_shift_c12_composite():
-    g = cyclic(12)
-    st = structure(whole(g))
-    m = eldiv_shift(st, [1], 6)
-    shifted = st.add(st.to_vector(1), st.scale(m[0], st.to_vector(6)))
-    # shifted element must still generate C12
-    span = set()
-    acc = st.zero()
-    while True:
-        acc = st.add(acc, shifted)
-        if acc in span:
-            break
-        span.add(acc)
-    assert len(span) == 12
-
-
-def test_eldiv_shift_rejects_non_generating():
-    g = cyclic(4)
-    st = structure(whole(g))
-    with pytest.raises(PreconditionViolated):
-        # the order-2 element together with a zero shift cannot generate C4
-        eldiv_shift(st, [2], 0)

@@ -152,6 +152,22 @@ def test_mhom_bool_literal_is_a_parse_error(capsys, tmp_path, numerator, literal
                    "detail": f"unsupported literal {literal} (at position 0)"}
 
 
+@pytest.mark.parametrize("numerators, detail", [
+    # a key error has no offset in any text, so it prints none
+    ("x", "map key 'numerators' must be a list of str"),
+    # decimal integers only: 0x10 is the integer 0 run into the name x10
+    (["0x10*x"], "bad polynomial expression: invalid syntax (at position 1)"),
+])
+def test_mhom_parse_error_payloads(capsys, tmp_path, numerators, detail):
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({
+        "source_blocks": [1], "target_blocks": [1], "numerators": numerators,
+        "source_variables": ["x"]}))
+    code, doc = run(capsys, "mhom", "homogenize", str(p))
+    assert code == 2
+    assert doc == {"error": "ParseError", "detail": detail}
+
+
 def test_facts_merge_show_and_conflict(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -55,16 +55,26 @@ def test_checker_flags_an_unused_import(tmp_path):
     assert unused_imports(mod) == ["m.py:1: math"]
 
 
+def imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    return modules | {node.module for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)}
+
+
 @pytest.mark.parametrize("name", ["chartab.py", "repdim.py"])
 def test_tables_use_no_fractions(name):
     # character tables are integer multiplicities; cyclotomic values with
     # fraction coefficients are built only for output
-    tree = ast.parse((SRC / name).read_text())
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)}
-    assert "fractions" not in modules
+    assert "fractions" not in imported_modules(SRC / name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_uses_pythons_parser(path):
+    # polynomials are read by poly's own tokenizer, so the accepted grammar
+    # is the documented one, not Python's
+    assert "ast" not in imported_modules(path)
 
 
 def _references(tree: ast.AST) -> Counter:

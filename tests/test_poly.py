@@ -1,6 +1,10 @@
 """Polynomials: ring operations against a Fraction reference, the int
-coefficient model, golden renderings, and parser rejections."""
+coefficient model, golden renderings, parser rejections, and the parser
+against Python's own, kept as the oracle."""
 
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from edimkit.errors import ParseError
 from edimkit.poly import Polynomial, parse_polynomial
+from oracles import ast_parse_polynomial
 
 NV = 2
 NAMES = ["x", "y"]
@@ -239,3 +244,113 @@ def test_syntax_errors_report_input_offsets(text, message, position):
     assert exc.value.position == position
     assert str(exc.value) == \
         f"bad polynomial expression: {message} (at position {position})"
+
+
+def test_errors_without_an_offset_carry_no_position():
+    with pytest.raises(ParseError) as exc:
+        Polynomial.variable(NV, 0) ** -1
+    assert exc.value.position is None
+    assert str(exc.value) == "negative polynomial power"
+
+
+# ---------------------------------------------------------------------------
+# the grammar against Python's, which the `ast` oracle reads
+
+PIECES = [*"0123456789", "x", "y", "+", "-", "*", "/", "^", "**", "(", ")",
+          " ", "\n", ".", "%", "~", "True", "0x", "_", "#"]
+# what only Python's grammar reads: comments, and hex, octal or binary
+# literals and `_` digit separators, each a digit run into a name character
+PYTHON_ONLY = re.compile(r"#|[0-9][^\W\d]")
+
+
+def _expression(rng, depth=0):
+    r = rng.random()
+    if depth > 3 or r < 0.3:
+        return rng.choice(["x", "y", str(rng.randint(0, 12))])
+    if r < 0.45:
+        return rng.choice(["-", "+", ""]) + _expression(rng, depth + 1)
+    if r < 0.6:
+        return "(" + _expression(rng, depth + 1) + ")"
+    if r < 0.75:
+        return _expression(rng, depth + 1) + rng.choice(["^", "**"]) + \
+            rng.choice(["0", "1", "2", "3", "(2)"])
+    return _expression(rng, depth + 1) + rng.choice([" + ", "-", "*", " / ", "/"]) + \
+        _expression(rng, depth + 1)
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = i + (rng.random() < 0.6)
+        text = text[:i] + (rng.choice(PIECES) if rng.random() < 0.7 else "") + text[j:]
+    return text
+
+
+def _outcome(parse, text):
+    """The rendering of the parsed text, or None if it is rejected."""
+    try:
+        p = parse(text, NAMES)
+    except ParseError:
+        return None
+    try:
+        return p.render(NAMES)
+    except ValueError:      # a coefficient beyond str()'s digit limit
+        return p.terms
+
+
+def test_parser_agrees_with_the_ast_oracle():
+    rng = random.Random(19)
+    verdicts = {True: 0, False: 0}
+    for n in range(9000):
+        if n % 3 == 0:
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 12)))
+        else:
+            text = _expression(rng)
+            if n % 3 == 2:
+                text = _mutated(rng, text)
+        new = _outcome(parse_polynomial, text)
+        old = _outcome(ast_parse_polynomial, text)
+        if new is None and old is not None:
+            assert PYTHON_ONLY.search(text), text
+        elif new is not None and old is None:
+            # blanks separate tokens anywhere; Python rejects an indented
+            # first line and line breaks outside parentheses
+            assert "\n" in text or text.startswith(" "), text
+            flat = text.replace("\n", " ").lstrip(" ")
+            assert new == _outcome(ast_parse_polynomial, flat), text
+        else:
+            assert new == old, text
+        verdicts[new is not None] += 1
+    assert min(verdicts.values()) > 2000, verdicts
+
+
+@pytest.mark.parametrize("text", [
+    "0x10*x", "0o7*x", "0b11*x", "1_000*x", "x #c", "x + \\\n1"])
+def test_python_only_literals_and_comments_are_rejected(text):
+    ast_parse_polynomial(text, NAMES)       # Python's grammar reads it
+    with pytest.raises(ParseError, match="invalid syntax"):
+        parse_polynomial(text, NAMES)
+
+
+@pytest.mark.parametrize("text, rendered", [
+    (" x", "x"), ("x\n+ 1", "x + 1"), ("\tx*\r\ny", "x*y")])
+def test_blanks_separate_tokens_anywhere(text, rendered):
+    with pytest.raises(ParseError):
+        ast_parse_polynomial(text, NAMES)
+    assert parse_polynomial(text, NAMES).render(NAMES) == rendered
+
+
+def test_long_sums_and_deep_nesting():
+    # the ast walk recursed once per term, and ran out of stack near 1000
+    text = " + ".join(f"{k}*x^{k}" for k in range(3000))
+    assert parse_polynomial(text, NAMES).terms == {(k, 0): k for k in range(1, 3000)}
+    with pytest.raises(ParseError, match="too deeply nested"):
+        parse_polynomial("(" * 5000 + "x" + ")" * 5000, NAMES)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+def test_an_integer_beyond_the_digit_limit_is_a_parse_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="integer string conversion"):
+        parse_polynomial(f"x + {digits}", NAMES)

@@ -245,14 +245,16 @@ class _Parser:
     one exponent list and one coefficient; other factors go through
     `_mul_terms` and `_pow_terms`.  A syntax error raises at once; the
     first error of meaning is kept in `error` while parsing goes on, so a
-    later syntax error wins over it.  Offsets are characters of the input,
-    recomputed from the tokens only when an error is raised.
+    later syntax error wins over it, and costs no arithmetic (`ready`).
+    Offsets are characters of the input, recomputed from the tokens only
+    when an error is raised.
     """
 
-    __slots__ = ("text", "toks", "i", "index", "one", "error")
+    __slots__ = ("text", "names", "toks", "i", "index", "one", "error", "checked")
 
     def __init__(self, text: str, names: Sequence[str]):
         self.text = text
+        self.names = names
         self.toks = _TOKEN.findall(text)
         self.toks.append("")        # end of input
         self.i = 0
@@ -260,10 +262,29 @@ class _Parser:
         self.index = {n: i for i, n in enumerate(names) if n.isidentifier()}
         self.one = (0,) * len(names)
         self.error = None           # (token index, message), the first one
+        self.checked = False        # whether a dry parse found no syntax error
 
     def fail(self, i: int, message: str) -> None:
         if self.error is None:
             self.error = (i, message)
+
+    def ready(self) -> bool:
+        """Whether to compute a power or a product of parsed factors: only
+        while no error is known.  The first call parses the whole input once
+        more, as if an error were known, so a syntax error anywhere raises
+        before any such arithmetic."""
+        if self.error is None and not self.checked:
+            dry = _Parser(self.text, self.names)
+            dry.error = (0, "")
+            dry.parse()
+            self.checked = True
+        return self.error is None
+
+    def parse(self) -> dict:
+        terms = self.expression()
+        if self.toks[self.i]:
+            raise self.syntax_error(self.i)
+        return terms
 
     def syntax_error(self, i: int) -> ParseError:
         """The error for token i: an unmatched ')' or a '(' never closed
@@ -347,7 +368,7 @@ class _Parser:
                     if op == "*":
                         if rest is None:
                             rest = value
-                        elif self.error is None:
+                        elif self.ready():
                             rest = _mul_terms(rest, value)
                     elif op == "/":
                         value = {m: c for m, c in value.items() if c}
@@ -435,7 +456,7 @@ class _Parser:
                 i = j + 1 + n
                 if lit in _BOOLS:
                     self.fail(start, f"unsupported literal {lit}")
-                elif self.error is None:
+                elif self.ready():
                     value = _pow_terms(value, int(lit), one)
             else:
                 self.fail(start, "exponent must be a nonnegative integer")
@@ -456,13 +477,11 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """
     p = _Parser(text, names)
     try:
-        terms = p.expression()
+        terms = p.parse()
     except RecursionError:
         raise ParseError("bad polynomial expression: too deeply nested") from None
     except ValueError as exc:   # an integer literal beyond int's digit limit
         raise ParseError(f"bad polynomial expression: {exc}") from None
-    if p.toks[p.i]:
-        raise p.syntax_error(p.i)
     if p.error is not None:
         i, message = p.error
         raise ParseError(message, p.offsets()[i])

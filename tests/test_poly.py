@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edimkit import poly
 from edimkit.errors import ParseError
 from edimkit.poly import Polynomial, parse_polynomial
 from oracles import ast_parse_polynomial
@@ -338,6 +339,17 @@ def test_blanks_separate_tokens_anywhere(text, rendered):
     with pytest.raises(ParseError):
         ast_parse_polynomial(text, NAMES)
     assert parse_polynomial(text, NAMES).render(NAMES) == rendered
+
+
+def test_a_late_syntax_error_costs_no_arithmetic(monkeypatch):
+    # the ast walk saw the whole text before any arithmetic; so does a dry
+    # parse here, before the first power or product of parsed factors
+    calls = []
+    for name in ("_pow_terms", "_mul_terms"):
+        monkeypatch.setattr(poly, name, lambda *args: calls.append(args))
+    with pytest.raises(ParseError, match="unmatched"):
+        parse_polynomial("(x + y + 1)^40*(x - y)^40 + )", NAMES)
+    assert calls == []
 
 
 def test_long_sums_and_deep_nesting():

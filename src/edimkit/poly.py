@@ -351,7 +351,9 @@ class _Parser:
                         elif op == "/":
                             self.fail(start, "division only by nonzero constants")
                     else:
-                        c = 1 if var is not None else int(tok) ** k
+                        # a constant's power waits for `ready` too
+                        c = 1 if var is not None or k > 1 and not self.ready() \
+                            else int(tok) ** k
                         if neg:
                             c = -c
                         if op == "*":

@@ -5,6 +5,7 @@ against Python's own, kept as the oracle."""
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,14 @@ def test_a_late_syntax_error_costs_no_arithmetic(monkeypatch):
     with pytest.raises(ParseError, match="unmatched"):
         parse_polynomial("(x + y + 1)^40*(x - y)^40 + )", NAMES)
     assert calls == []
+
+
+def test_a_late_syntax_error_costs_no_constant_power():
+    # 7^10000000 alone takes seconds; the syntax error is found first
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="unmatched"):
+        parse_polynomial("2*7^10000000*x + )", NAMES)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_long_sums_and_deep_nesting():

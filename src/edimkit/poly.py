@@ -269,8 +269,8 @@ class _Parser:
             self.error = (i, message)
 
     def ready(self) -> bool:
-        """Whether to compute a power or a product of parsed factors: only
-        while no error is known.  The first call parses the whole input once
+        """Whether to compute a constant's power, or a power or product of
+        parsed factors: only while no error is known.  The first call parses the whole input once
         more, as if an error were known, so a syntax error anywhere raises
         before any such arithmetic."""
         if self.error is None and not self.checked:

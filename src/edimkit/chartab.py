@@ -4,16 +4,22 @@ The class-multiplication constants give commuting integer matrices; their
 simultaneous eigenvectors over F_q (q = 1 mod exp G, q > 2 sqrt |G|) determine
 the characters mod q.  The constants are counted with one `np.bincount` per
 class representative r_k, over the column u -> u r_k.  The split runs on int64
-arrays with the modular row reduction, kernels and eigenvalues of `snf`: each
-subspace is kept in reduced row echelon form, so the coordinates of an image
-are its entries at the pivot columns and closure under a class matrix is one
-array identity; each eigenvalue of the coordinate matrix cuts out a smaller
-subspace, until all are lines.  A discrete Fourier transform on the powers of
-each class representative g_k gives the eigenvalue multiplicities m[k][i, t]
-of g_k in chi_i, so chi_i(g_k) = sum_t m[k][i, t] zeta_ord(g_k)^t.  They lie
-in [0, deg chi_i], below q, so their residues are exact.  These non-negative
-integers are the stored table; cyclotomic values (`cyclo`) are built only for
-output, by `CharacterTable.cyclotomic_values`.
+arrays with the modular eigenspaces of `snf`: each subspace is kept in
+reduced row echelon form, so the coordinates of an image are its entries at
+the pivot columns and closure under a class matrix is one array identity;
+each eigenspace of the coordinate matrix is a smaller subspace, until all
+are lines.  A discrete Fourier transform on the powers of each class
+representative g_k, one matrix product per class order, gives the
+eigenvalue multiplicities m[k][i, t] of g_k in chi_i, so chi_i(g_k) =
+sum_t m[k][i, t] zeta_ord(g_k)^t.  They lie in [0, deg chi_i], below q, so
+their residues are exact.  These non-negative integers are the stored table.
+
+Values are written in the tensor basis of Q(zeta_e) that `cyclo` uses, with
+integer coefficients: for each class order o one integer matrix B holds in
+row t the expansion of zeta_e^(t e/o), so a class's coefficients are
+m[k] @ B (`CharacterTable.tensor_coefficients`, computed once per table).
+Rows are sorted by these integers, and `--full` output is written from
+them; `Cyclotomic` numbers are built only by `cyclotomic_values`.
 
 A direct product G = G1 x G2 (`g.factors` set) gets its table from its
 factors' tables instead, since Irr(G1 x G2) = {chi_1 x chi_2} (Isaacs,
@@ -51,6 +57,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -67,8 +74,8 @@ from .errors import (
 )
 from .fields import FieldDescriptor, supports_splitting
 from .groups import FiniteGroup, Subgroup
-from .ntheory import is_prime, primitive_root, split_prime
-from .snf import eigenvalues_mod, kernel_mod, rref_mod
+from .ntheory import factorize, is_prime, split_prime
+from .snf import eigenspaces_mod
 
 CLASS_LIMIT = 120
 ORDER_LIMIT = 50_000
@@ -98,23 +105,61 @@ def _certificate_primes(e: int, width: int, bound: int) -> list[int]:
 
 
 def root_powers(e: int, q: int) -> np.ndarray:
-    """z^t mod q for t < e, z = g^((q-1)/e) a primitive e-th root of unity in
-    F_q (q = 1 mod e), g the least primitive root mod q."""
-    z = pow(primitive_root(q), (q - 1) // e, q)
-    return np.array([pow(z, t, q) for t in range(e)], dtype=np.int64)
+    """z^t mod q for t < e, z a primitive e-th root of unity in F_q (q = 1
+    mod e): z = x^((q-1)/e) for the least x >= 1 with z^(e/p) != 1 for every
+    prime p | e.  Only e is factored, never q - 1.
+
+    Which primitive root z is does not matter to any caller: the certificate
+    checks every unit power of it, restriction multiplicities are rational,
+    and a Dixon-Schneider table made with another root has its rows permuted
+    by a Galois twist, which `_sorted_rows` undoes.
+    """
+    primes = [p for p, _ in factorize(e)]
+    x = 1
+    while True:
+        z = pow(x, (q - 1) // e, q)
+        if all(pow(z, e // p, q) != 1 for p in primes):
+            break
+        x += 1
+    powers = np.ones(e, dtype=np.int64)
+    step, zk = 1, z     # powers[:step] is done and zk = z^step
+    while step < e:
+        powers[step:2 * step] = powers[:min(step, e - step)] * zk % q
+        step, zk = 2 * step, zk * zk % q
+    return powers
 
 
-def _tensor_coeffs(e: int, mult: np.ndarray) -> dict:
-    """Integer coefficients of sum_t mult[t] zeta_e^(t e / len(mult)) in the
-    tensor basis of Q(zeta_e) that `cyclo` uses."""
-    step = e // len(mult)
+@lru_cache(maxsize=None)
+def _tensor_matrix(e: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, b): row t of b holds the coefficients of zeta_e^(t e/order) in
+    the tensor basis of Q(zeta_e) that `cyclo` uses, at the basis keys that
+    any row reaches (ascending)."""
+    b = np.zeros((order, e), dtype=np.int64)
+    for t in range(order):
+        sign, keys = _expansion(e, t * (e // order))
+        b[t, list(keys)] += sign
+    keys = np.flatnonzero(b.any(axis=0))
+    b = b[:, keys]
+    keys.flags.writeable = b.flags.writeable = False
+    return keys, b
+
+
+def _classes_by_order(orders: list[int]) -> dict[int, list[int]]:
+    """The classes k grouped by their order orders[k]."""
     out: dict = {}
-    for t, m in enumerate(mult.tolist()):
-        if m:
-            sign, keys = _expansion(e, t * step)
-            for key in keys:
-                out[key] = out.get(key, 0) + sign * m
-    return {key: c for key, c in out.items() if c}
+    for k, o in enumerate(orders):
+        out.setdefault(o, []).append(k)
+    return out
+
+
+def _tensor_coefficients(e: int, mults: list[np.ndarray]) -> tuple:
+    """(keys, classes, c): chi_i(g_k) = sum_j c[i, j] zeta_e^keys[j] over the
+    columns j with classes[j] = k, in the tensor basis; class k's columns
+    are multiplicities[k] @ b for b from `_tensor_matrix`, keys ascending."""
+    parts = [_tensor_matrix(e, m.shape[1]) for m in mults]
+    keys = np.concatenate([k for k, _ in parts])
+    classes = np.repeat(np.arange(len(mults)), [len(k) for k, _ in parts])
+    return keys, classes, np.hstack([m @ b for m, (_, b) in zip(mults, parts)])
 
 
 def _require_equal(got: np.ndarray, expect: np.ndarray, relation: str,
@@ -143,6 +188,8 @@ class CharacterTable:
     multiplicities: list[np.ndarray]
     # `restriction_data` per subgroup element set
     _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
+    # `tensor_coefficients`, set by `_sorted_rows` or on first use
+    _coefficients: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -152,19 +199,34 @@ class CharacterTable:
         """x[r, i, k] = chi_i(g_k) mod q under zeta_e -> z^units[r], z from
         `root_powers` (q = 1 mod e)."""
         e = self.conductor
+        n = self.n_classes
         powers = root_powers(e, q)
-        x = np.empty((len(units), self.n_classes, self.n_classes), dtype=np.int64)
-        for k, m in enumerate(self.multiplicities):
-            order = m.shape[1]
+        x = np.empty((len(units), n, n), dtype=np.int64)
+        mults = self.multiplicities
+        for order, ks in _classes_by_order([m.shape[1] for m in mults]).items():
             exps = np.outer(np.arange(order) * (e // order), units) % e
-            x[:, :, k] = ((m % q) @ powers[exps] % q).T
+            m = np.stack([mults[k] for k in ks], axis=1) % q
+            x[:, :, ks] = (m @ powers[exps] % q).transpose(2, 0, 1)
         return x
 
+    def tensor_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, classes, c) with chi_i(g_k) = sum_j c[i, j] zeta_e^keys[j]
+        over the columns j with classes[j] = k, in the tensor basis of
+        Q(zeta_e) that `cyclo` uses; computed once per table."""
+        if self._coefficients is None:
+            self._coefficients = _tensor_coefficients(self.conductor,
+                                                      self.multiplicities)
+        return self._coefficients
+
     def cyclotomic_values(self) -> list[list[Cyclotomic]]:
-        """The values as cyclotomic numbers (rows = characters, columns = classes)."""
-        e = self.conductor
-        return [[Cyclotomic(e, _tensor_coeffs(e, m[i])) for m in self.multiplicities]
-                for i in range(self.n_classes)]
+        """The values as cyclotomic numbers (rows = characters, columns =
+        classes), computed afresh from the multiplicities."""
+        e, n = self.conductor, self.n_classes
+        keys, classes, c = _tensor_coefficients(e, self.multiplicities)
+        values: list = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j in zip(*np.nonzero(c)):
+            values[i][classes[j]][int(keys[j])] = int(c[i, j])
+        return [[Cyclotomic(e, v) for v in row] for row in values]
 
     def verify_orthogonality(self) -> None:
         """Certify both orthogonality relations exactly, by arithmetic mod primes.
@@ -212,10 +274,15 @@ class CharacterTable:
         for k, m in enumerate(mults):
             if m.shape[0] != n or m.shape[1] == 0 or e % m.shape[1]:
                 raise InternalInconsistency(f"multiplicities of class {k} have shape {m.shape}")
-            if (m < 0).any() or (m > degrees).any() or \
-                    (m.sum(axis=1) != degrees[:, 0]).any():
-                raise InternalInconsistency(
-                    f"multiplicities of class {k} do not count the degrees' eigenvalues")
+        widths = [m.shape[1] for m in mults]
+        starts = np.cumsum(widths) - widths
+        counts = np.hstack(mults)
+        bad = np.add.reduceat((counts < 0) | (counts > degrees), starts, axis=1) | \
+            (np.add.reduceat(counts, starts, axis=1) != degrees)
+        if bad.any():
+            raise InternalInconsistency(
+                f"multiplicities of class {bad.any(axis=0).argmax()} do not count "
+                "the degrees' eigenvalues")
 
         units = [j for j in range(1, e + 1) if math.gcd(j, e) == 1]
         width = max(n, *(m.shape[1] for m in mults))
@@ -296,13 +363,37 @@ def _class_data(g: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
 
 
 def _sorted_rows(t: CharacterTable) -> CharacterTable:
-    """t with its rows by degree, then by the values' tensor-basis coefficients."""
-    e = t.conductor
-    mults = t.multiplicities
-    perm = sorted(range(t.n_classes), key=lambda i: (
-        t.degrees[i], [sorted(_tensor_coeffs(e, m[i]).items()) for m in mults]))
-    return CharacterTable(t.group, e, t.class_reps, t.class_sizes, t.inverse_class,
-                          [t.degrees[i] for i in perm], [m[perm] for m in mults])
+    """t with its rows by degree, then by the values' tensor-basis
+    coefficients: per class, the sparse list of (key, coefficient) pairs,
+    compared as lists.
+
+    Each class's list is written as its pairs followed by -1, padded with
+    zeros to one width per class.  Keys are non-negative, so where two rows
+    first differ this flat encoding compares as the lists do; two equal lists
+    have equal padding, so the next class's blocks stay aligned.  All classes
+    are encoded at once.
+    """
+    n = t.n_classes
+    keys, classes, c = t.tensor_coefficients()
+    starts = np.flatnonzero(np.diff(classes, prepend=-1))
+    nonzero = c != 0
+    ranks = np.cumsum(nonzero, axis=1)      # nonzeros up to each column
+    before = ranks[:, starts] - nonzero[:, starts]
+    counts = np.add.reduceat(nonzero, starts, axis=1)   # per row and class
+    blocks = 2 * counts.max(axis=0) + 1
+    offsets = 1 + np.cumsum(blocks) - blocks
+    flat = np.zeros((n, 1 + blocks.sum()), dtype=np.int64)
+    flat[:, 0] = t.degrees
+    i, j = np.nonzero(nonzero)
+    at = offsets[classes[j]] + 2 * (ranks[i, j] - 1 - before[i, classes[j]])
+    flat[i, at] = keys[j]
+    flat[i, at + 1] = c[i, j]
+    flat[np.arange(n)[:, None], offsets + 2 * counts] = -1
+    perm = np.lexsort(flat.T[::-1])
+    return CharacterTable(t.group, t.conductor, t.class_reps, t.class_sizes,
+                          t.inverse_class, [t.degrees[i] for i in perm],
+                          [m[perm] for m in t.multiplicities],
+                          _coefficients=(keys, classes, c[perm]))
 
 
 def _compute(g: FiniteGroup) -> CharacterTable:
@@ -337,14 +428,22 @@ def _product_table(g: FiniteGroup, t1: CharacterTable,
         o1 = m1.shape[1]
         for m2 in t2.multiplicities:
             o2 = m2.shape[1]
-            o = math.lcm(o1, o2)
-            ts = (np.arange(o1)[:, None] * (o // o1) + np.arange(o2) * (o // o2)) % o
             outer = (m1[:, None, :, None] * m2[None, :, None, :]).reshape(-1, o1 * o2)
-            m = np.zeros((len(outer), o), dtype=np.int64)
-            np.add.at(m, (slice(None), ts.ravel()), outer)
-            mults.append(m)
+            mults.append(outer @ _convolution(o1, o2))
     degrees = np.outer(t1.degrees, t2.degrees).ravel().tolist()
     return CharacterTable(g, g.exponent(), reps, sizes, inv_class, degrees, mults)
+
+
+@lru_cache(maxsize=None)
+def _convolution(o1: int, o2: int) -> np.ndarray:
+    """The 0/1 matrix of (a, b) -> a o/o1 + b o/o2 mod o, o = lcm(o1, o2):
+    row a o2 + b has its 1 in that column."""
+    o = math.lcm(o1, o2)
+    ts = (np.arange(o1)[:, None] * (o // o1) + np.arange(o2) * (o // o2)) % o
+    out = np.zeros((o1 * o2, o), dtype=np.int64)
+    out[np.arange(o1 * o2), ts.ravel()] = 1
+    out.flags.writeable = False
+    return out
 
 
 def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
@@ -389,18 +488,23 @@ def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     degrees = np.array(degrees)
     chi = degrees[:, None] * theta % q
     powers = root_powers(e, q)
-    mults = []
-    for rk in reps:
-        cyclic = [0]  # the powers of g_k
-        while (x := g.mult(cyclic[-1], rk)) != 0:
-            cyclic.append(x)
-        dk = len(cyclic)
+    orders = [g.element_order(r) for r in reps]
+    top = max(orders)
+    cyclic = np.zeros((top, n), dtype=np.int64)     # cyclic[s, k] = g_k^s
+    step, t = np.array(reps), 1                     # step = g_k^t
+    while t < top:
+        cyclic[t:2 * t] = g.backend.mul(cyclic[:min(t, top - t)], step)
+        step, t = g.backend.mul(step, step), 2 * t
+    mults: list = [None] * n
+    for dk, ks in _classes_by_order(orders).items():
         ts = np.arange(dk)
         dft = powers[-np.outer(ts, ts) * (e // dk) % e]
-        m = chi[:, cmap[cyclic]] @ dft % q * pow(dk, -1, q) % q
+        values = chi[:, cmap[cyclic[:dk, ks]].T].transpose(1, 0, 2)
+        m = values @ dft % q * pow(dk, -1, q) % q       # m[i] for class ks[i]
         if (m > degrees[:, None]).any():
             raise InternalInconsistency("eigenvalue multiplicity too large")
-        mults.append(m)
+        for i, k in enumerate(ks):
+            mults[k] = m[i]
 
     return CharacterTable(g, e, reps, sizes, inv_class, degrees.tolist(), mults)
 
@@ -423,7 +527,10 @@ def _full_split(a: np.ndarray, q: int) -> list[np.ndarray]:
     A subspace is the row span of its reduced row echelon form V, so the
     coordinates of a vector of the span are its entries at V's pivot
     columns.  The rows of V a[i]^T must lie in the span, V a[i]^T = C V,
-    and the eigenspace of a[i] for lam is then {x V : x C = lam x}.
+    and the eigenspace of a[i] for lam is then {x V : x C = lam x}.  C is
+    diagonalizable, as the class algebra is split semisimple over F_q
+    (q = 1 mod e does not divide |G|).  With x in reduced row echelon form,
+    so is x V: its entries at V's pivot columns are x.
     """
     n = len(a)
     spaces = [np.eye(n, dtype=np.int64)]
@@ -439,10 +546,11 @@ def _full_split(a: np.ndarray, q: int) -> list[np.ndarray]:
             coords = images[:, (basis != 0).argmax(axis=1)]
             if not np.array_equal(coords @ basis % q, images):
                 raise InternalInconsistency("class algebra not closed on subspace")
-            shifted = coords.T.copy()
-            for lam in eigenvalues_mod(coords, q):
-                np.fill_diagonal(shifted, coords.diagonal() - lam)
-                nxt.append(rref_mod(kernel_mod(shifted, q) @ basis, q)[0])
+            try:
+                nxt.extend(x @ basis % q for x in eigenspaces_mod(coords, q))
+            except ValueError:
+                raise InternalInconsistency(
+                    "class matrix not diagonalizable mod the Dixon prime") from None
         spaces = nxt
     return spaces
 

@@ -101,8 +101,17 @@ def cmd_chartab(args) -> dict:
         "class_sizes": table.class_sizes,
     }
     if args.full:
-        out["values"] = [[v.serialize() for v in row]
-                         for row in table.cyclotomic_values()]
+        # {"key": "c/1"} per value, from the nonzero tensor coefficients
+        keys, classes, c = table.tensor_coefficients()
+        names, classes = [str(k) for k in keys.tolist()], classes.tolist()
+        n = table.n_classes
+        values: list = [[{} for _ in range(n)] for _ in range(n)]
+        texts: dict = {}
+        rows, cols = c.nonzero()
+        for i, j, v in zip(rows.tolist(), cols.tolist(), c[rows, cols].tolist()):
+            values[i][classes[j]][names[j]] = texts.get(v) or \
+                texts.setdefault(v, f"{v}/1")
+        out["values"] = values
     return out
 
 

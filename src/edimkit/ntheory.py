@@ -1,12 +1,12 @@
-"""Elementary number theory: primality, factorization, prime powers, primitive
-roots and primes that split in cyclotomic fields.
+"""Elementary number theory: primality, factorization, prime powers and
+primes that split in cyclotomic fields.
 
 Factorization is by trial division: every argument is a group order, an
-element order or q - 1 for a Dixon prime.  Primality is Miller-Rabin with a
-base set that is deterministic below 3.3e24, so the certificate primes of
-`chartab` (up to 3e9) are tested in microseconds.  Above that range a witness
-still proves a number composite; one that passes every base raises
-`BackendLimit` instead of being searched for divisors.
+element order or an exponent, never q - 1 for a prime q.  Primality is
+Miller-Rabin with a base set that is deterministic below 3.3e24, so the
+certificate primes of `chartab` (up to 3e9) are tested in microseconds.
+Above that range a witness still proves a number composite; one that passes
+every base raises `BackendLimit` instead of being searched for divisors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .errors import BackendLimit, InternalInconsistency
+from .errors import BackendLimit
 
 
 @lru_cache(maxsize=None)
@@ -82,12 +82,3 @@ def split_prime(e: int, bound: int) -> int:
     while not is_prime(q):
         q += e
     return q
-
-
-def primitive_root(q: int) -> int:
-    """Smallest primitive root modulo the prime q."""
-    primes = [p for p, _ in factorize(q - 1)]
-    for g in range(1, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in primes):
-            return g
-    raise InternalInconsistency(f"no primitive root mod {q}")

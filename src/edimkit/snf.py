@@ -1,5 +1,5 @@
 """Exact linear algebra: integer Smith normal form, and row reduction,
-kernels and eigenvalues modulo a prime.
+eigenvalues and eigenspaces modulo a prime.
 
 Smith normal form is arbitrary-precision; its pivot is chosen by least
 nonzero absolute value to keep coefficients small at the matrix sizes used
@@ -110,33 +110,31 @@ def smith_normal_form(mat: list[list[int]]):
 
 def rref_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q of a 2-D integer array: (nonzero
-    rows, their pivot columns)."""
+    rows, their pivot columns).
+
+    The reduced form is unique, so any nonzero entry of a column may serve as
+    its pivot: the largest is found with one `argmax`, and rows are updated
+    in place.
+    """
     rows = np.asarray(mat, dtype=np.int64) % q
+    n = len(rows)
     pivots: list[int] = []
+    r = 0
     for col in range(rows.shape[1]):
-        r = len(pivots)
-        if r == len(rows):
+        if r == n:
             break
-        nonzero = np.flatnonzero(rows[r:, col])
-        if not len(nonzero):
+        i = r + int(rows[r:, col].argmax())
+        if not rows[i, col]:
             continue
-        rows[[r, r + nonzero[0]]] = rows[[r + nonzero[0], r]]
-        rows[r] = rows[r] * pow(int(rows[r, col]), -1, q) % q
-        factors = rows[:, col].copy()
-        factors[r] = 0
-        rows = (rows - np.outer(factors, rows[r])) % q
+        if i != r:
+            rows[[r, i]] = rows[[i, r]]
+        pivot = rows[r] * pow(int(rows[r, col]), -1, q) % q
+        rows -= rows[:, col, None] * pivot
+        rows[r] = pivot
+        rows %= q
         pivots.append(col)
-    return rows[:len(pivots)], pivots
-
-
-def kernel_mod(mat: np.ndarray, q: int) -> np.ndarray:
-    """Basis (rows) of the right kernel {v : mat v = 0} over F_q."""
-    rows, pivots = rref_mod(mat, q)
-    free = np.setdiff1d(np.arange(rows.shape[1]), pivots)
-    basis = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rows[:, free].T % q
-    return basis
+        r += 1
+    return rows[:r], pivots
 
 
 def eigenvalues_mod(mat: np.ndarray, q: int) -> np.ndarray:
@@ -162,3 +160,40 @@ def eigenvalues_mod(mat: np.ndarray, q: int) -> np.ndarray:
     for c in coeffs:
         values = (values * x + c) % q
     return np.flatnonzero(values == 0)
+
+
+def eigenspaces_mod(mat: np.ndarray, q: int) -> list[np.ndarray]:
+    """The left eigenspaces {x : x mat = lam x} of a square matrix that is
+    diagonalizable over F_q, one per eigenvalue lam ascending, each in
+    reduced row echelon form.
+
+    With distinct eigenvalues lam_1 < ... < lam_r in F_q, mat is
+    diagonalizable over F_q exactly when the product of all (mat - lam_i)
+    is 0 (checked; ValueError otherwise).  Then P_j, the product of the
+    (mat - lam_i) for i != j, vanishes on every eigenspace but lam_j's and
+    is invertible on that one, so its rows span the left eigenspace of
+    lam_j.  When all m eigenvalues of an m x m matrix are distinct, each
+    eigenspace is a line, spanned by any nonzero row of P_j; otherwise each
+    is the reduced row echelon form of P_j.
+    """
+    a = np.asarray(mat, dtype=np.int64) % q
+    lams = eigenvalues_mod(a, q)
+    eye = np.eye(len(a), dtype=np.int64)
+    factors = [(a - lam * eye) % q for lam in lams.tolist()]
+    before = [eye]      # before[j]: product of the factors i < j
+    for f in factors:
+        before.append(before[-1] @ f % q)
+    if before[-1].any():
+        raise ValueError("the matrix is not diagonalizable over F_q")
+    spaces = []
+    after = eye         # product of the factors i > j
+    for j in range(len(factors) - 1, -1, -1):
+        p = before[j] @ after % q
+        if len(lams) == len(a):
+            row = p[(p != 0).any(axis=1).argmax()]
+            lead = row[(row != 0).argmax()]
+            spaces.append(row[None] * pow(int(lead), -1, q) % q)
+        else:
+            spaces.append(rref_mod(p, q)[0])
+        after = factors[j] @ after % q
+    return spaces[::-1]

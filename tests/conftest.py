@@ -3,7 +3,7 @@ import os
 import pytest
 
 from edimkit.groups import from_generators
-from edimkit.ntheory import primitive_root
+from oracles import primitive_root
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,14 +1,21 @@
 """Reference computations that only tests use: integer matrix products,
-subgroup intersections, elementary-divisor coordinates back to elements, and
-a polynomial parser built on Python's own `ast` module."""
+subgroup intersections, elementary-divisor coordinates back to elements,
+least primitive roots, kernels modulo a prime, a character table's values
+and row order from one tensor-basis dict per value, and a polynomial parser
+built on Python's own `ast` module."""
 
 import ast
 from fractions import Fraction
 
+import numpy as np
+
 from edimkit.abelian import AbelianStructure
+from edimkit.cyclo import _expansion
 from edimkit.errors import ParseError
 from edimkit.groups import Subgroup
+from edimkit.ntheory import factorize
 from edimkit.poly import Polynomial, _add_terms, _mul_terms, _pow_terms
+from edimkit.snf import rref_mod
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -25,6 +32,54 @@ def from_vector(st: AbelianStructure, vec) -> int:
     """The element with elementary-divisor coordinates vec (reduced mod d_i)."""
     key = tuple(v % d for v, d in zip(vec, st.divisors))
     return next(x for x, v in st.to_vec.items() if v == key)
+
+
+def primitive_root(q: int) -> int:
+    """Smallest primitive root modulo the prime q."""
+    primes = [p for p, _ in factorize(q - 1)]
+    return next(g for g in range(1, q)
+                if all(pow(g, (q - 1) // p, q) != 1 for p in primes))
+
+
+def kernel_mod(mat: np.ndarray, q: int) -> np.ndarray:
+    """Basis (rows) of the right kernel {v : mat v = 0} over F_q: the oracle
+    for `snf.eigenspaces_mod`."""
+    rows, pivots = rref_mod(mat, q)
+    free = np.ones(rows.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), rows.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rows[:, free].T % q
+    return basis
+
+
+def tensor_coeffs(e: int, mult) -> dict:
+    """Integer coefficients of sum_t mult[t] zeta_e^(t e / len(mult)) in the
+    tensor basis of Q(zeta_e) that `cyclo` uses, one expansion per count:
+    the oracle for `chartab.CharacterTable.tensor_coefficients`."""
+    step = e // len(mult)
+    out: dict = {}
+    for t, m in enumerate(mult.tolist()):
+        if m:
+            sign, keys = _expansion(e, t * step)
+            for key in keys:
+                out[key] = out.get(key, 0) + sign * m
+    return {key: c for key, c in out.items() if c}
+
+
+def table_values(t) -> list[list[dict]]:
+    """Every value of table t as a dict of tensor-basis coefficients."""
+    return [[tensor_coeffs(t.conductor, m[i]) for m in t.multiplicities]
+            for i in range(t.n_classes)]
+
+
+def row_order(t) -> list[int]:
+    """The rows of t by degree, then by the values' sparse (key, coefficient)
+    lists: the order `chartab._sorted_rows` must give."""
+    values = table_values(t)
+    return sorted(range(t.n_classes), key=lambda i: (
+        t.degrees[i], [sorted(v.items()) for v in values[i]]))
 
 
 def _offset(text: str, lineno: int, col: int) -> int:

@@ -9,8 +9,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import edimkit
+import oracles
 from edimkit import chartab
 from edimkit.chartab import (
     CharacterTable,
@@ -25,6 +28,7 @@ from edimkit.chartab import (
     gcd_min_condition,
     kernel,
     restriction_data,
+    root_powers,
 )
 from edimkit.cli import main
 from edimkit.cyclo import Cyclotomic
@@ -52,7 +56,7 @@ from edimkit.named import (
     quaternion,
     symmetric,
 )
-from edimkit.ntheory import is_prime
+from edimkit.ntheory import factorize, is_prime, split_prime
 
 FIXTURES = os.path.join(os.path.dirname(edimkit.__file__), "fixtures")
 SMALL_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if f != "2a8.json")
@@ -704,3 +708,78 @@ def test_a_factors_own_table_is_reused(monkeypatch):
     assert computed == [c3]
     assert s4._table is held and c3._table is None
     assert t.serialize() == _sorted_rows(_dixon_schneider(g)).serialize()
+
+
+# ---------------------------------------------------------------------------
+# values and row order from integer tensor coefficients, against the oracle
+# that builds one tensor-basis dict per value
+
+
+def _sl2_on_vectors(p):
+    """SL(2, p) acting on the p^2 - 1 nonzero vectors of F_p^2."""
+    pts = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    idx = {v: i for i, v in enumerate(pts)}
+
+    def act(a, b, c, d):
+        return [idx[((a * x + b * y) % p, (c * x + d * y) % p)] for x, y in pts]
+
+    return from_generators([act(1, 1, 0, 1), act(0, p - 1, 1, 0)])
+
+
+def _assert_values_match_the_oracle(g):
+    t = _compute(g)
+    s = _sorted_rows(t)
+    perm = oracles.row_order(t)
+    assert s.degrees == [t.degrees[i] for i in perm]
+    for m, sorted_m in zip(t.multiplicities, s.multiplicities):
+        assert np.array_equal(m[perm], sorted_m)
+    expect = oracles.table_values(s)
+    keys, classes, c = s.tensor_coefficients()
+    for k in range(s.n_classes):
+        at = classes == k
+        got = [{key: v for key, v in zip(keys[at].tolist(), row) if v}
+               for row in c[:, at].tolist()]
+        assert got == [row[k] for row in expect]
+    assert s.cyclotomic_values() == [[Cyclotomic(s.conductor, v) for v in row]
+                                     for row in expect]
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_values_and_row_order_match_the_oracle_on_the_corpus(name):
+    _assert_values_match_the_oracle(corpus()[name])
+
+
+@pytest.mark.parametrize("fixture", [
+    *SMALL_FIXTURES, pytest.param("2a8.json", marks=pytest.mark.slow)])
+def test_full_output_matches_the_oracle_on_the_fixtures(capsys, fixture):
+    path = os.path.join(FIXTURES, fixture)
+    g = load_group(path)
+    _assert_values_match_the_oracle(g)
+    assert main(["chartab", path, "--full", "--no-cache"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    expect = oracles.table_values(_sorted_rows(_compute(g)))
+    assert out["values"] == [[{str(key): f"{c}/1" for key, c in v.items()}
+                              for v in row] for row in expect]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_values_and_row_order_match_the_oracle_on_the_benchmark_pool(seed):
+    # SL(2, 7) in its natural presentation; the products as the pool lists them
+    _assert_values_match_the_oracle(_sl2_on_vectors(7))
+    for order in _pool_factor_orders(seed):
+        spec = {"kind": "named",
+                "product": [{"kind": "named", "name": f} for f in order]}
+        _assert_values_match_the_oracle(group_from_json(spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.sampled_from([0, 100, 10 ** 6, 3 * 10 ** 9]))
+@example(1, 0)
+@example(1, 3 * 10 ** 9)
+def test_root_powers_are_the_powers_of_a_primitive_root(e, bound):
+    q = split_prime(e, bound)
+    powers = root_powers(e, q)
+    z = int(powers[1 % e])
+    assert powers.tolist() == [pow(z, t, q) for t in range(e)]
+    assert pow(z, e, q) == 1
+    assert all(pow(z, e // p, q) != 1 for p, _ in factorize(e))

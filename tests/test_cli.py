@@ -168,6 +168,31 @@ def test_mhom_parse_error_payloads(capsys, tmp_path, numerators, detail):
     assert doc == {"error": "ParseError", "detail": detail}
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+@pytest.mark.parametrize("numerator, coefficient", [
+    ("9^5000*x", lambda: 9 ** 5000),
+    ("7" * 5000 + "*x", lambda: int("7" * 5000)),
+], ids=["power", "literal"])
+def test_mhom_integers_past_the_digit_limit(capsys, tmp_path, numerator,
+                                            coefficient):
+    # Python's str() and int() refuse these; the map is valid all the same
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({
+        "source_blocks": [1], "target_blocks": [1], "numerators": [numerator],
+        "source_variables": ["x"]}))
+    code, doc = run(capsys, "mhom", "homogenize", str(p))
+    assert code == 0
+    text, name = doc["H"][0].split("*")
+    assert name == "x" and text[0] != "0" and len(text) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(text) == coefficient()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_facts_merge_show_and_conflict(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -503,6 +528,42 @@ GOLDEN = [
         '0":"-2/1"},{"0":"-2/1"},{},{},{},{},{},{}],[{"0":"2/1"},{"4":"2/'
         '1"},{"0":"-2/1","4":"-2/1"},{},{},{},{"0":"-2/1"},{"4":"-2/1"},{'
         '"0":"2/1","4":"2/1"},{},{},{},{},{},{}]]}')),
+    # conductor 30: three primes, so components expand into p - 1 terms
+    (["chartab", "d5xs3.json", "--full", "--no-cache"], (
+        '{"class_sizes":[1,3,2,2,6,4,5,15,10,2,6,4],"conductor":30,"degrees'
+        '":[1,1,1,1,2,2,2,2,2,2,4,4],"n_classes":12,"order":60,"values":[[{'
+        '"0":"1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1"},{"0":'
+        '"1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"-1/'
+        '1"},{"0":"1/1"}],[{"0":"1/1"},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"}'
+        ',{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1"},{"0":"1/1"},{"0'
+        '":"1/1"},{"0":"-1/1"},{"0":"1/1"}],[{"0":"1/1"},{"0":"1/1"},{"0":"'
+        '1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"-1/1"},{"0":"-1/1"'
+        '},{"0":"-1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"}],[{"0":"1/1"},{'
+        '"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1'
+        '/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"},{"0":"1/1"}],'
+        '[{"0":"2/1"},{},{"0":"-1/1"},{"0":"2/1"},{},{"0":"-1/1"},{"0":"-2/'
+        '1"},{},{"0":"1/1"},{"0":"2/1"},{},{"0":"-1/1"}],[{"0":"2/1"},{},{"'
+        '0":"-1/1"},{"0":"2/1"},{},{"0":"-1/1"},{"0":"2/1"},{},{"0":"-1/1"}'
+        ',{"0":"2/1"},{},{"0":"-1/1"}],[{"0":"2/1"},{"0":"-2/1"},{"0":"2/1"'
+        '},{"0":"-1/1","12":"-1/1","18":"-1/1"},{"0":"1/1","12":"1/1","18":'
+        '"1/1"},{"0":"-1/1","12":"-1/1","18":"-1/1"},{},{},{},{"12":"1/1","'
+        '18":"1/1"},{"12":"-1/1","18":"-1/1"},{"12":"1/1","18":"1/1"}],[{"0'
+        '":"2/1"},{"0":"-2/1"},{"0":"2/1"},{"12":"1/1","18":"1/1"},{"12":"-'
+        '1/1","18":"-1/1"},{"12":"1/1","18":"1/1"},{},{},{},{"0":"-1/1","12'
+        '":"-1/1","18":"-1/1"},{"0":"1/1","12":"1/1","18":"1/1"},{"0":"-1/1'
+        '","12":"-1/1","18":"-1/1"}],[{"0":"2/1"},{"0":"2/1"},{"0":"2/1"},{'
+        '"0":"-1/1","12":"-1/1","18":"-1/1"},{"0":"-1/1","12":"-1/1","18":"'
+        '-1/1"},{"0":"-1/1","12":"-1/1","18":"-1/1"},{},{},{},{"12":"1/1","'
+        '18":"1/1"},{"12":"1/1","18":"1/1"},{"12":"1/1","18":"1/1"}],[{"0":'
+        '"2/1"},{"0":"2/1"},{"0":"2/1"},{"12":"1/1","18":"1/1"},{"12":"1/1"'
+        ',"18":"1/1"},{"12":"1/1","18":"1/1"},{},{},{},{"0":"-1/1","12":"-1'
+        '/1","18":"-1/1"},{"0":"-1/1","12":"-1/1","18":"-1/1"},{"0":"-1/1",'
+        '"12":"-1/1","18":"-1/1"}],[{"0":"4/1"},{},{"0":"-2/1"},{"0":"-2/1"'
+        ',"12":"-2/1","18":"-2/1"},{},{"0":"1/1","12":"1/1","18":"1/1"},{},'
+        '{},{},{"12":"2/1","18":"2/1"},{},{"12":"-1/1","18":"-1/1"}],[{"0":'
+        '"4/1"},{},{"0":"-2/1"},{"12":"2/1","18":"2/1"},{},{"12":"-1/1","18'
+        '":"-1/1"},{},{},{},{"0":"-2/1","12":"-2/1","18":"-2/1"},{},{"0":"1'
+        '/1","12":"1/1","18":"1/1"}]]}')),
     (["rdim", "q8xc3.json", "--field", "Q(zeta_12)"], (
         '{"component_rows":[12],"dimension_vector":[2],"path":"B","value"'
         ':2}')),
@@ -527,6 +588,7 @@ GOLDEN_SPECS = {
                      "generators": [[2 * x % 67 for x in range(67)],
                                     [(x + 1) % 67 for x in range(67)]]},
     "s5xa5.json": {"kind": "named", "name": "S5xA5"},
+    "d5xs3.json": {"kind": "named", "name": "D5xS3"},
 }
 
 

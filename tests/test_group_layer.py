@@ -23,7 +23,7 @@ from edimkit.groups import (
     from_generators,
 )
 from edimkit.named import corpus, cyclic, dihedral, load_group, named_group
-from edimkit.ntheory import primitive_root
+from oracles import primitive_root
 from test_groups import normal_subgroups_bruteforce
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "edimkit" / "fixtures"

@@ -11,9 +11,9 @@ from edimkit.engine import conjectural_edim
 from edimkit.errors import BackendLimit
 from edimkit.fields import cyclotomic_field
 from edimkit.named import named_group
-from edimkit.ntheory import factorize, is_prime, prime_power_base, primitive_root
+from edimkit.ntheory import factorize, is_prime, prime_power_base
 from edimkit.snf import identity, smith_normal_form
-from oracles import mat_mul
+from oracles import mat_mul, primitive_root
 
 N = 2000
 PRIMES = [p for p in range(2, N + 1) if all(p % d for d in range(2, p))]

@@ -294,10 +294,7 @@ def _outcome(parse, text):
         p = parse(text, NAMES)
     except ParseError:
         return None
-    try:
-        return p.render(NAMES)
-    except ValueError:      # a coefficient beyond str()'s digit limit
-        return p.terms
+    return p.render(NAMES)
 
 
 def test_parser_agrees_with_the_ast_oracle():
@@ -371,7 +368,30 @@ def test_long_sums_and_deep_nesting():
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() has no digit limit here")
-def test_an_integer_beyond_the_digit_limit_is_a_parse_error():
-    digits = "1" * (sys.get_int_max_str_digits() + 1)
-    with pytest.raises(ParseError, match="integer string conversion"):
-        parse_polynomial(f"x + {digits}", NAMES)
+def test_an_integer_beyond_the_digit_limit_is_read_exactly():
+    # zeros on both sides of every cut: a lost leading zero changes the text
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * limit + "7"
+    value = 10 ** (limit + 1) + 7
+    p = parse_polynomial(f"x + {digits}", NAMES)
+    assert p.terms == {(1, 0): 1, (0, 0): value}
+    assert p.render(NAMES) == f"x + {digits}"
+    p = parse_polynomial(f"-{digits}*y^{digits}/3", NAMES)
+    assert p.terms == {(0, value): Fraction(-value, 3)}
+    assert p.render(NAMES) == f"-{digits}/3*y^{digits}"
+    assert parse_polynomial(f"{digits}^2", NAMES).render(NAMES) == \
+        "1" + "0" * (limit - 1) + "14" + "0" * (limit - 1) + "49"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+def test_long_integers_round_trip_through_text():
+    rng = random.Random(7)
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit, limit + 1, 2 * limit + 3, 9 * limit):
+        for n in (10 ** digits, 10 ** digits - 1, rng.randrange(10 ** digits),
+                  10 ** digits + rng.randrange(10 ** (digits // 2))):
+            text = poly._decimal(n)
+            assert text[0] != "0" or n == 0
+            assert poly._integer(text) == n
+            assert poly._decimal(-n) == "-" + text

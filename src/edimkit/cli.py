@@ -31,12 +31,14 @@ from .named import load_group
 from .repdim import rdim
 
 
-def _print(payload: dict, pretty: bool) -> None:
+def _dumps(payload: dict, pretty: bool) -> str:
     if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _print(payload: dict, pretty: bool) -> None:
+    sys.stdout.write(_dumps(payload, pretty))
 
 
 def _load_group(path: str) -> FiniteGroup:
@@ -306,7 +308,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     pretty = getattr(args, "pretty", False)
     try:
-        payload = args.fn(args)
+        # encoded here: an int past Python's digit limit for str() raises
+        # ValueError, which is reported like any other
+        text = _dumps(args.fn(args), pretty)
     except OutOfScope as exc:
         _print({"error": "out_of_scope", "detail": str(exc)}, pretty)
         return 3
@@ -314,7 +318,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         _print({"error": type(exc).__name__, "detail": str(exc)}, pretty)
         return 2
-    _print(payload, pretty)
+    sys.stdout.write(text)
     return 0
 
 

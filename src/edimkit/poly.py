@@ -14,6 +14,7 @@ one a term holds.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,14 +58,14 @@ def _decimal(c) -> str:
     """str(c) for an int or Fraction c, also past Python's limit on the
     digits of an int-to-str conversion: an int is cut by divmod into halves
     until each half converts."""
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return _decimal(c.numerator)
-        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
     try:
         return str(c)
     except ValueError:
         pass
+    if isinstance(c, Fraction):
+        if c.denominator == 1:
+            return _decimal(c.numerator)
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
     if c < 0:
         return "-" + _decimal(-c)
     half = c.bit_length() * 3 // 20     # about half of c's decimal digits
@@ -207,12 +208,6 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def render(self, names: Sequence[str]) -> str:
-        try:
-            return self._render(names, str)
-        except ValueError:      # an integer past Python's digit limit for str()
-            return self._render(names, _decimal)
-
-    def _render(self, names: Sequence[str], text) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -223,16 +218,16 @@ class Polynomial:
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
-                    factors.append(f"{name}^{text(e)}")
+                    factors.append(f"{name}^{e}")
             body = "*".join(factors)
             if not body:
-                parts.append(text(c))
+                parts.append(_decimal(c))
             elif c == 1:
                 parts.append(body)
             elif c == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{text(c)}*{body}")
+                parts.append(f"{_decimal(c)}*{body}")
         out = " + ".join(parts).replace("+ -", "- ")
         return out
 
@@ -285,13 +280,11 @@ class _Parser:
     when an error is raised.
     """
 
-    __slots__ = ("text", "names", "integer", "toks", "i", "index", "one", "error",
-                 "checked")
+    __slots__ = ("text", "names", "toks", "i", "index", "one", "error", "checked")
 
-    def __init__(self, text: str, names: Sequence[str], integer=int):
+    def __init__(self, text: str, names: Sequence[str]):
         self.text = text
         self.names = names
-        self.integer = integer      # int, or `_integer` past int()'s digit limit
         self.toks = _TOKEN.findall(text)
         self.toks.append("")        # end of input
         self.i = 0
@@ -311,7 +304,7 @@ class _Parser:
         more, as if an error were known, so a syntax error anywhere raises
         before any such arithmetic."""
         if self.error is None and not self.checked:
-            dry = _Parser(self.text, self.names, self.integer)
+            dry = _Parser(self.text, self.names)
             dry.error = (0, "")
             dry.parse()
             self.checked = True
@@ -374,7 +367,7 @@ class _Parser:
                         lit = toks[i + 2]
                         if lit[:1] in _DIGITS and "." not in lit \
                                 and toks[i + 3] not in _TRAILING:
-                            k = self.integer(lit)
+                            k = int(lit)
                             i += 3
                     elif nxt != "(":
                         k = 1
@@ -390,7 +383,7 @@ class _Parser:
                     else:
                         # a constant's power waits for `ready` too
                         c = 1 if var is not None or k > 1 and not self.ready() \
-                            else self.integer(tok) ** k
+                            else _integer(tok) ** k
                         if neg:
                             c = -c
                         if op == "*":
@@ -463,7 +456,7 @@ class _Parser:
             mono[self.index[tok]] = 1
             value = {tuple(mono): 1}
         elif _is_int(tok):
-            value = {one: self.integer(tok)}
+            value = {one: _integer(tok)}
         elif _is_float(tok):
             self.fail(i, f"unsupported literal {float(tok)!r}")
         elif tok in _BOOLS:
@@ -496,7 +489,7 @@ class _Parser:
                 if lit in _BOOLS:
                     self.fail(start, f"unsupported literal {lit}")
                 elif self.ready():
-                    value = _pow_terms(value, self.integer(lit), one)
+                    value = _pow_terms(value, int(lit), one)
             else:
                 self.fail(start, "exponent must be a nonnegative integer")
                 self.i = i
@@ -516,13 +509,12 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """
     p = _Parser(text, names)
     try:
-        try:
-            terms = p.parse()
-        except ValueError:      # an integer literal past int()'s digit limit
-            p = _Parser(text, names, _integer)
-            terms = p.parse()
+        terms = p.parse()
     except RecursionError:
         raise ParseError("bad polynomial expression: too deeply nested") from None
+    except ValueError:      # an exponent past int()'s digit limit
+        raise ParseError("bad polynomial expression: an exponent of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if p.error is not None:
         i, message = p.error
         raise ParseError(message, p.offsets()[i])

@@ -193,6 +193,29 @@ def test_mhom_integers_past_the_digit_limit(capsys, tmp_path, numerator,
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+@pytest.mark.parametrize("numerator, error, detail", [
+    # an exponent literal past the limit is not read
+    ("x^1{ones}", "ParseError",
+     "bad polynomial expression: an exponent of more than {limit} digits"),
+    # exponents within the limit whose sum, a degree in M, is past it
+    ("x^{nines}*y^{nines}", "ValueError", "Exceeds the limit"),
+], ids=["exponent", "degree"])
+def test_mhom_exponents_past_the_digit_limit_are_json_errors(
+        capsys, tmp_path, numerator, error, detail):
+    limit = sys.get_int_max_str_digits()
+    numerator = numerator.format(ones="1" * limit, nines="9" * limit)
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({
+        "source_blocks": [2], "target_blocks": [1], "numerators": [numerator],
+        "source_variables": ["x", "y"]}))
+    code, doc = run(capsys, "mhom", "homogenize", str(p))
+    assert code == 2
+    assert doc["error"] == error
+    assert doc["detail"].startswith(detail.format(limit=limit))
+
+
 def test_facts_merge_show_and_conflict(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

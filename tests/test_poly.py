@@ -376,11 +376,21 @@ def test_an_integer_beyond_the_digit_limit_is_read_exactly():
     p = parse_polynomial(f"x + {digits}", NAMES)
     assert p.terms == {(1, 0): 1, (0, 0): value}
     assert p.render(NAMES) == f"x + {digits}"
-    p = parse_polynomial(f"-{digits}*y^{digits}/3", NAMES)
-    assert p.terms == {(0, value): Fraction(-value, 3)}
-    assert p.render(NAMES) == f"-{digits}/3*y^{digits}"
+    p = parse_polynomial(f"-{digits}*y^2/3", NAMES)
+    assert p.terms == {(0, 2): Fraction(-value, 3)}
+    assert p.render(NAMES) == f"-{digits}/3*y^2"
     assert parse_polynomial(f"{digits}^2", NAMES).render(NAMES) == \
         "1" + "0" * (limit - 1) + "14" + "0" * (limit - 1) + "49"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+@pytest.mark.parametrize("text", ["x^{}", "2*x*y^{}", "(x + 1)^{}", "7^{}*x"])
+def test_an_exponent_beyond_the_digit_limit_is_a_parse_error(text):
+    # only coefficients are read past the limit; no such power is computable
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match=f"an exponent of more than {limit} digits"):
+        parse_polynomial(text.format("1" * (limit + 1)), NAMES)
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -38,10 +38,6 @@ class AbelianStructure:
     gens: list[int]  # parent indices of the coordinate generators
     to_vec: dict = field(repr=False)
 
-    @property
-    def exponent(self) -> int:
-        return self.divisors[-1] if self.divisors else 1
-
     def rank(self) -> int:
         return len(self.divisors)
 
@@ -50,12 +46,6 @@ class AbelianStructure:
 
     def add(self, u: tuple, v: tuple) -> tuple:
         return tuple((a + b) % d for a, b, d in zip(u, v, self.divisors))
-
-    def scale(self, m: int, v: tuple) -> tuple:
-        return tuple((m * a) % d for a, d in zip(v, self.divisors))
-
-    def zero(self) -> tuple:
-        return (0,) * len(self.divisors)
 
 
 def structure(a: Subgroup) -> AbelianStructure:

@@ -19,7 +19,7 @@ integer coefficients: for each class order o one integer matrix B holds in
 row t the expansion of zeta_e^(t e/o), so a class's coefficients are
 m[k] @ B (`CharacterTable.tensor_coefficients`, computed once per table).
 Rows are sorted by these integers, and `--full` output is written from
-them; `Cyclotomic` numbers are built only by `cyclotomic_values`.
+them.
 
 A direct product G = G1 x G2 (`g.factors` set) gets its table from its
 factors' tables instead, since Irr(G1 x G2) = {chi_1 x chi_2} (Isaacs,
@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .abelian import AbelianStructure, structure
-from .cyclo import Cyclotomic, _expansion
+from .cyclo import _expansion
 from .errors import (
     BackendLimit,
     InternalInconsistency,
@@ -78,7 +78,6 @@ from .ntheory import factorize, is_prime, split_prime
 from .snf import eigenspaces_mod
 
 CLASS_LIMIT = 120
-ORDER_LIMIT = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +217,6 @@ class CharacterTable:
                                                       self.multiplicities)
         return self._coefficients
 
-    def cyclotomic_values(self) -> list[list[Cyclotomic]]:
-        """The values as cyclotomic numbers (rows = characters, columns =
-        classes), computed afresh from the multiplicities."""
-        e, n = self.conductor, self.n_classes
-        keys, classes, c = _tensor_coefficients(e, self.multiplicities)
-        values: list = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j in zip(*np.nonzero(c)):
-            values[i][classes[j]][int(keys[j])] = int(c[i, j])
-        return [[Cyclotomic(e, v) for v in row] for row in values]
-
     def verify_orthogonality(self) -> None:
         """Certify both orthogonality relations exactly, by arithmetic mod primes.
 
@@ -337,8 +326,6 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
     memo = cache_dir is None and use_cache
     if memo and g._table is not None:
         return g._table
-    if g.order > ORDER_LIMIT:
-        raise BackendLimit(f"group order {g.order} exceeds {ORDER_LIMIT}")
     classes = g.conjugacy_classes()
     if len(classes) > CLASS_LIMIT:
         raise BackendLimit(f"{len(classes)} classes exceed the limit {CLASS_LIMIT}")

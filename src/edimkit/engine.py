@@ -53,6 +53,9 @@ MAX_RECURSION = 6
 
 @dataclass
 class EdimResult:
+    """Interval for edim or covdim with its derivation trace; the engine
+    only ever tightens it."""
+
     lower: int
     upper: Optional[int]
     trace: list
@@ -61,25 +64,6 @@ class EdimResult:
     @property
     def exact(self) -> bool:
         return self.upper is not None and self.lower == self.upper
-
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "field": self.field,
-            "trace": [list(t) for t in self.trace],
-        }
-
-
-class _Bounds:
-    """Monotone interval with a derivation trace."""
-
-    def __init__(self, field_spec: str):
-        self.lower = 0
-        self.upper: Optional[int] = None
-        self.trace: list = []
-        self.field_spec = field_spec
 
     def tighten_lower(self, value: int, rule: str, citation: str, detail: str):
         if value > self.lower:
@@ -93,18 +77,20 @@ class _Bounds:
             self.trace.append((rule, citation, detail, f"upper <= {value}"))
             self._check()
 
-    @property
-    def exact(self) -> bool:
-        return self.upper is not None and self.lower == self.upper
-
     def _check(self):
         if self.upper is not None and self.lower > self.upper:
             raise FactConflict(
                 f"derived bounds crossed: lower {self.lower} > upper {self.upper}; "
                 f"trace: {self.trace}")
 
-    def result(self) -> EdimResult:
-        return EdimResult(self.lower, self.upper, self.trace, self.field_spec)
+    def as_dict(self) -> dict:
+        return {
+            "lower": self.lower,
+            "upper": self.upper,
+            "exact": self.exact,
+            "field": self.field,
+            "trace": [list(t) for t in self.trace],
+        }
 
 
 class FactStore:
@@ -113,15 +99,11 @@ class FactStore:
     def __init__(self):
         self.data: dict = {}
 
-    @staticmethod
-    def _key(fingerprint: str, field_spec: str) -> tuple:
-        return (fingerprint, field_spec)
-
     def add(self, fingerprint: str, field_spec: str, lower: int, upper: int,
             source: str):
         if lower > upper:
             raise FactConflict(f"fact from {source!r} has lower {lower} > upper {upper}")
-        key = self._key(fingerprint, field_spec)
+        key = (fingerprint, field_spec)
         if key in self.data:
             old = self.data[key]
             lo = max(old["lower"], lower)
@@ -140,7 +122,7 @@ class FactStore:
         # an empty store matches nothing, so it needs none
         if not self.data:
             return None
-        return self.data.get(self._key(g.fingerprint(), f.spec()))
+        return self.data.get((g.fingerprint(), f.spec()))
 
     # -- (de)serialization ------------------------------------------------
 
@@ -163,10 +145,10 @@ class FactStore:
                     and "lower" in item and "upper" in item):
                 raise ParseError(f"fact {i} needs string group and field, "
                                  "and lower and upper bounds")
-            try:
-                lower, upper = int(item["lower"]), int(item["upper"])
-            except (TypeError, ValueError):
-                raise ParseError(f"fact {i} has a non-integer bound") from None
+            lower, upper = item["lower"], item["upper"]
+            # JSON integers only: int() would truncate 1.9, and bool is an int
+            if type(lower) is not int or type(upper) is not int:
+                raise ParseError(f"fact {i} has a non-integer bound")
             store.add(item["group"], item["field"], lower, upper,
                       item.get("source", "unknown"))
         return store
@@ -230,13 +212,13 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     into a proper subgroup, so the order strictly shrinks; R9 recurses into
     a factor of an explicit product.  MAX_RECURSION bounds the depth.
     """
-    b = _Bounds(f.spec())
+    b = EdimResult(0, None, [], f.spec())
 
     # R1: trivial group
     if g.order == 1:
         b.tighten_lower(0, "R1", CITE["R1"], "|G| = 1")
         b.tighten_upper(0, "R1", CITE["R1"], "|G| = 1")
-        return b.result()
+        return b
 
     # R2: any nontrivial group
     b.tighten_lower(1, "R2", CITE["R2"], f"|G| = {g.order} > 1")
@@ -255,7 +237,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
         b.tighten_lower(r, "R3", CITE["R3"], f"abelian of rank {r}")
         b.tighten_upper(r, "R3", CITE["R3"], f"abelian of rank {r}")
     if b.exact:
-        return b.result()
+        return b
 
     rk_z = k_center_rank(g, f)
 
@@ -277,8 +259,8 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
             # a faithful doubly transitive permutation action gives an
             # absolutely irreducible faithful summand of degree (points - 1)
             # defined over the prime field
-            deg = _two_transitive_degree(g)
-            if deg is not None:
+            if is_two_transitive(g):
+                deg = g.perms.shape[1]
                 b.tighten_upper(deg - 1, "R4", CITE["R4"],
                                 f"doubly transitive on {deg} points")
                 b.tighten_upper((deg - 1) - (1 - rk_z), "R4", CITE["R4"],
@@ -301,20 +283,20 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
                                 f"socle central {p}-group, gcd=min, "
                                 f"rdim = {w.value}")
     if b.exact:
-        return b.result()
+        return b
 
     # R6 / R7: central-subgroup cancellation (R7 = product-with-abelian case)
     if _depth < MAX_RECURSION:
         _apply_central_transfers(g, f, b, rk_z, facts, subgroups, _depth)
     if b.exact:
-        return b.result()
+        return b
 
     # R8: subgroup lower bounds
     if _depth < MAX_RECURSION and (
             f.characteristic == 0 or g.order % f.characteristic != 0):
         _apply_subgroup_bounds(g, f, b, rk_z, facts, subgroups, _depth)
     if b.exact:
-        return b.result()
+        return b
 
     # R9: product upper bound for explicit direct products
     if _depth < MAX_RECURSION and g.factors is not None:
@@ -332,16 +314,7 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     if _depth < MAX_RECURSION and f.characteristic > 0:
         _apply_char_p_estimate(g, f, b, facts, subgroups, _depth)
 
-    return b.result()
-
-
-def _two_transitive_degree(g: FiniteGroup) -> Optional[int]:
-    """Degree of a faithful doubly transitive natural permutation action."""
-    if g.perms is None:
-        return None
-    if is_two_transitive(g):
-        return len(g.perms[0])
-    return None
+    return b
 
 
 def _central_candidates(g: FiniteGroup) -> list[Subgroup]:

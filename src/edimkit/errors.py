@@ -11,10 +11,6 @@ class ClosureTooLarge(EdimkitError):
     """Group closure exceeded the configured element cap."""
 
 
-class TrivialGroup(EdimkitError):
-    """Operation undefined for the trivial group."""
-
-
 class NotNormal(EdimkitError):
     """Subgroup is not normal in its parent."""
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClosureTooLarge, InternalInconsistency, NotNormal, TrivialGroup
+from .errors import ClosureTooLarge, InternalInconsistency, NotNormal
 from .ntheory import is_prime
 
 TABLE_LIMIT = 4096
@@ -444,10 +444,9 @@ class FiniteGroup:
         element's class, whose normal closure is a nontrivial normal
         subgroup inside N, hence N itself.  A closure that is not minimal
         contains some minimal N, which is found too and removes it below.
+        The trivial group has none, so its socle is trivial.
         """
         if self._feet is None:
-            if self.order == 1:
-                raise TrivialGroup("feet undefined for the trivial group")
             orders = self.element_orders()
             closures: list[Subgroup] = []
             seen_sets = set()
@@ -587,12 +586,7 @@ class Subgroup:
         return all(p.mult(a, b) == p.mult(b, a) for a in gs for b in gs)
 
     def is_central(self) -> bool:
-        p = self.parent
-        return all(
-            p.mult(h, g) == p.mult(g, h)
-            for h in self.generating_set()
-            for g in p.generators
-        )
+        return self.elements <= self.parent.center().elements
 
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Standalone group on the subgroup's elements.

@@ -96,11 +96,6 @@ class GradedPolyMap:
         if self.denominator.is_zero():
             raise ShapeMismatch("denominator is zero")
 
-    def is_regular(self) -> bool:
-        from .poly import _as_constant
-
-        return _as_constant(self.denominator) is not None
-
     def block_numerators(self, j: int) -> list:
         return [self.numerators[t] for t in self.target.coordinate_slices()[j]]
 

@@ -40,7 +40,10 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n acting on n points (n >= 3); D2 = Klein four."""
+    """Dihedral group of order 2n acting on n points (n >= 3); D1 = C2 and
+    D2 = Klein four."""
+    if n == 1:
+        return from_generators([[1, 0]], degree=2, name="D1")
     if n == 2:
         return from_generators([[1, 0, 2, 3], [0, 1, 3, 2]], degree=4, name="D2")
     rot = list(range(1, n)) + [0]
@@ -192,21 +195,3 @@ def load_group(path: str) -> FiniteGroup:
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON in {path}: {e}") from e
     return group_from_json(spec)
-
-
-def corpus() -> dict[str, FiniteGroup]:
-    """The small-group test corpus (orders <= 64)."""
-    out: dict[str, FiniteGroup] = {}
-    for name in ["C2", "C3", "C4", "C6", "C12", "S3", "S4", "A4", "Q8", "Heis3"]:
-        out[name] = named_group(name)
-    out["D4"] = dihedral(4)
-    out["D5"] = dihedral(5)
-    out["D6"] = dihedral(6)
-    out["C2xC2"] = direct_product(cyclic(2), cyclic(2))
-    out["C2xC4"] = direct_product(cyclic(2), cyclic(4))
-    out["C2xC2xC2"] = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-    out["C2xC2xC3"] = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(3))
-    out["C3xC3"] = direct_product(cyclic(3), cyclic(3))
-    out["Q8xC2"] = direct_product(quaternion(8), cyclic(2))
-    out["Q8xC3"] = direct_product(quaternion(8), cyclic(3))
-    return out

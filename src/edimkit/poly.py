@@ -519,11 +519,3 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         i, message = p.error
         raise ParseError(message, p.offsets()[i])
     return Polynomial(len(names), terms)
-
-
-def _as_constant(p: Polynomial):
-    if not p.terms:
-        return Fraction(0)
-    if len(p.terms) == 1 and (0,) * p.nvars in p.terms:
-        return p.terms[(0,) * p.nvars]
-    return None

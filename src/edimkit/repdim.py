@@ -45,7 +45,6 @@ from .groups import FiniteGroup, Subgroup
 from .ntheory import is_prime, prime_power_base
 
 PATH_C_BUDGET = 10_000_000
-ORACLE_ROW_LIMIT = 40
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +64,6 @@ def min_components(g: FiniteGroup, f: FieldDescriptor) -> int:
     if a.order == 1:
         return 1
     return max(rank_zg(module_from_subgroup(g, a)), 1)
-
-
-def min_components_oracle(g: FiniteGroup, f: FieldDescriptor) -> int:
-    """Independent brute force: smallest set of rows with trivial joint kernel."""
-    if not supports_splitting(g, f):
-        raise OutOfScope("field does not split the group")
-    if g.order == 1:
-        return 1
-    table = character_table(g)
-    n = table.n_classes
-    if n > ORACLE_ROW_LIMIT:
-        raise SearchBudgetExceeded(f"{n} rows exceed the oracle limit")
-    kernels = [frozenset(kernel(table, i).elements) for i in range(n)]
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(range(n), r):
-            acc = kernels[combo[0]]
-            for i in combo[1:]:
-                acc = acc & kernels[i]
-            if acc == frozenset([0]):
-                return r
-    raise InternalInconsistency("no faithful row combination found")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +138,7 @@ def _verify_witness(table: CharacterTable, rows: list[int]) -> None:
         raise InternalInconsistency("rdim witness rows are not jointly faithful")
 
 
-def rdim(g: FiniteGroup, f: FieldDescriptor,
-         force_path: Optional[str] = None) -> RdimWitness:
+def rdim(g: FiniteGroup, f: FieldDescriptor) -> RdimWitness:
     """Exact least dimension of a faithful representation, with witness rows."""
     if not supports_splitting(g, f):
         raise OutOfScope("field does not split the group")
@@ -169,17 +146,9 @@ def rdim(g: FiniteGroup, f: FieldDescriptor,
         return RdimWitness(0, [], [], "trivial")
     table = character_table(g)
     soc = g.socle()
-    path = force_path
-    if path is None:
-        if soc.is_central() and prime_power_base(soc.order):
-            path = "A"
-        elif soc.is_abelian():
-            path = "B"
-        else:
-            path = "C"
-    if path == "A":
+    if soc.is_central() and prime_power_base(soc.order):
         witness = _rdim_path_a(g, table, soc)
-    elif path == "B":
+    elif soc.is_abelian():
         witness = _rdim_path_b(g, table)
     else:
         witness = _rdim_path_c(g, table)

@@ -1,21 +1,41 @@
-"""Reference computations that only tests use: integer matrix products,
-subgroup intersections, elementary-divisor coordinates back to elements,
-least primitive roots, kernels modulo a prime, a character table's values
-and row order from one tensor-basis dict per value, and a polynomial parser
-built on Python's own `ast` module."""
+"""Reference computations and fixtures that only tests use: integer matrix
+products, subgroup intersections, elementary-divisor coordinates back to
+elements, least primitive roots, kernels modulo a prime, a character table's
+values and row order from one tensor-basis dict per value, its values as
+cyclotomic numbers, rdim by a chosen path, a brute-force component count, a
+polynomial parser built on Python's own `ast` module, and the small-group
+corpus."""
 
 import ast
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from edimkit.abelian import AbelianStructure
-from edimkit.cyclo import _expansion
-from edimkit.errors import ParseError
-from edimkit.groups import Subgroup
+from edimkit.chartab import _tensor_coefficients, character_table, kernel
+from edimkit.cyclo import Cyclotomic, _expansion
+from edimkit.errors import (
+    InternalInconsistency,
+    OutOfScope,
+    ParseError,
+    SearchBudgetExceeded,
+)
+from edimkit.fields import FieldDescriptor, supports_splitting
+from edimkit.groups import FiniteGroup, Subgroup, direct_product
+from edimkit.named import cyclic, dihedral, named_group, quaternion
 from edimkit.ntheory import factorize
 from edimkit.poly import Polynomial, _add_terms, _mul_terms, _pow_terms
+from edimkit.repdim import (
+    RdimWitness,
+    _rdim_path_a,
+    _rdim_path_b,
+    _rdim_path_c,
+    _verify_witness,
+)
 from edimkit.snf import rref_mod
+
+ORACLE_ROW_LIMIT = 40
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -72,6 +92,17 @@ def table_values(t) -> list[list[dict]]:
     """Every value of table t as a dict of tensor-basis coefficients."""
     return [[tensor_coeffs(t.conductor, m[i]) for m in t.multiplicities]
             for i in range(t.n_classes)]
+
+
+def cyclotomic_values(t) -> list[list[Cyclotomic]]:
+    """The values of table t as cyclotomic numbers (rows = characters,
+    columns = classes), computed afresh from the multiplicities."""
+    e, n = t.conductor, t.n_classes
+    keys, classes, c = _tensor_coefficients(e, t.multiplicities)
+    values: list = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j in zip(*np.nonzero(c)):
+        values[i][classes[j]][int(keys[j])] = int(c[i, j])
+    return [[Cyclotomic(e, v) for v in row] for row in values]
 
 
 def row_order(t) -> list[int]:
@@ -164,3 +195,54 @@ def ast_parse_polynomial(text: str, names) -> Polynomial:
         raise _error(text, node, f"unsupported syntax {type(node).__name__}")
 
     return Polynomial(nv, walk(tree.body))
+
+
+def rdim_path(g: FiniteGroup, f: FieldDescriptor, path: str) -> RdimWitness:
+    """rdim of g over the splitting field f by path "A", "B" or "C", whatever
+    `repdim.rdim` would choose, with its witness checked the same way."""
+    assert supports_splitting(g, f)
+    table = character_table(g)
+    witness = {"A": lambda: _rdim_path_a(g, table, g.socle()),
+               "B": lambda: _rdim_path_b(g, table),
+               "C": lambda: _rdim_path_c(g, table)}[path]()
+    _verify_witness(table, witness.component_rows)
+    return witness
+
+
+def min_components_oracle(g: FiniteGroup, f: FieldDescriptor) -> int:
+    """Independent brute force: smallest set of rows with trivial joint kernel."""
+    if not supports_splitting(g, f):
+        raise OutOfScope("field does not split the group")
+    if g.order == 1:
+        return 1
+    table = character_table(g)
+    n = table.n_classes
+    if n > ORACLE_ROW_LIMIT:
+        raise SearchBudgetExceeded(f"{n} rows exceed the oracle limit")
+    kernels = [frozenset(kernel(table, i).elements) for i in range(n)]
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(range(n), r):
+            acc = kernels[combo[0]]
+            for i in combo[1:]:
+                acc = acc & kernels[i]
+            if acc == frozenset([0]):
+                return r
+    raise InternalInconsistency("no faithful row combination found")
+
+
+def corpus() -> dict[str, FiniteGroup]:
+    """The small-group test corpus (orders <= 64)."""
+    out: dict[str, FiniteGroup] = {}
+    for name in ["C2", "C3", "C4", "C6", "C12", "S3", "S4", "A4", "Q8", "Heis3"]:
+        out[name] = named_group(name)
+    out["D4"] = dihedral(4)
+    out["D5"] = dihedral(5)
+    out["D6"] = dihedral(6)
+    out["C2xC2"] = direct_product(cyclic(2), cyclic(2))
+    out["C2xC4"] = direct_product(cyclic(2), cyclic(4))
+    out["C2xC2xC2"] = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    out["C2xC2xC3"] = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(3))
+    out["C3xC3"] = direct_product(cyclic(3), cyclic(3))
+    out["Q8xC2"] = direct_product(quaternion(8), cyclic(2))
+    out["Q8xC3"] = direct_product(quaternion(8), cyclic(3))
+    return out

@@ -20,9 +20,9 @@ from edimkit.abelian import (
     submodule_span,
 )
 from edimkit.groups import Subgroup, all_subgroups, direct_product
-from edimkit.named import corpus, cyclic, named_group
+from edimkit.named import cyclic, named_group
 from edimkit.snf import smith_normal_form
-from oracles import from_vector, mat_mul
+from oracles import corpus, from_vector, mat_mul
 
 
 def whole(g):

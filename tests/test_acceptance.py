@@ -26,7 +26,6 @@ from edimkit.groups import Subgroup, all_subgroups
 from edimkit.mhom import GradedPolyMap, Grading, OneParamSubgroup, homogenize
 from edimkit.named import (
     alternating,
-    corpus,
     load_group,
     named_group,
     symmetric,
@@ -35,9 +34,9 @@ from edimkit.poly import parse_polynomial
 from edimkit.repdim import (
     central_ext_rdim,
     min_components,
-    min_components_oracle,
     rdim,
 )
+from oracles import corpus, min_components_oracle, rdim_path
 
 KBAR = algebraically_closed(0)
 
@@ -98,8 +97,8 @@ def test_criterion_05_rdim_additivity_paths_agree():
     with budget("criterion 5: Q8xD4 over Q(zeta_4)", 30):
         f4 = cyclotomic_field(4)
         g = named_group("Q8xD4")
-        wa = rdim(g, f4, force_path="A")
-        wc = rdim(g, f4, force_path="C")
+        wa = rdim_path(g, f4, "A")
+        wc = rdim_path(g, f4, "C")
         assert wa.value == wc.value == 4
         assert wa.value == rdim(named_group("Q8"), f4).value + \
             rdim(named_group("D4"), f4).value

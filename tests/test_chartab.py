@@ -49,7 +49,6 @@ from edimkit.groups import (
 )
 from edimkit.named import (
     alternating,
-    corpus,
     group_from_json,
     load_group,
     named_group,
@@ -102,7 +101,7 @@ def test_orthogonality_a5_s5():
 def test_row_orthogonality_by_hand():
     g = named_group("S3")
     t = character_table(g, use_cache=False)
-    values = t.cyclotomic_values()
+    values = oracles.cyclotomic_values(t)
     for i in range(3):
         for j in range(3):
             acc = Cyclotomic.zero(t.conductor)
@@ -147,7 +146,8 @@ def test_kernels_and_central_characters_agree_with_values(fixture):
     # reference: compare cyclotomic values with d and with d zeta^s
     g = load_group(os.path.join(FIXTURES, fixture))
     t = character_table(g, use_cache=False)
-    values, cmap, e, z = t.cyclotomic_values(), g.class_map(), t.conductor, g.center()
+    values = oracles.cyclotomic_values(t)
+    cmap, e, z = g.class_map(), t.conductor, g.center()
     rd = restriction_data(t, z)
     for i, d in enumerate(t.degrees):
         assert kernel(t, i).elements == \
@@ -225,7 +225,7 @@ def test_serialize_round_trip():
     data = t.serialize()
     t2 = CharacterTable.deserialize(g, data)
     assert t2.degrees == t.degrees
-    assert t2.cyclotomic_values() == t.cyclotomic_values()
+    assert oracles.cyclotomic_values(t2) == oracles.cyclotomic_values(t)
 
 
 def test_determinism():
@@ -243,7 +243,7 @@ def fraction_orthogonality(t: CharacterTable) -> bool:
     """Both orthogonality relations in exact Fraction-coefficient arithmetic
     (the verifier's reference), plus the degree-square sum."""
     n, order = t.n_classes, t.group.order
-    values = t.cyclotomic_values()
+    values = oracles.cyclotomic_values(t)
     for i in range(n):
         for j in range(i, n):
             acc = Cyclotomic.zero(t.conductor)
@@ -357,7 +357,7 @@ def test_verifier_rejects_counts_that_keep_the_values(name, corrupt):
     # the values stay orthogonal, so only the count checks can reject these
     t = character_table(named_group(name), use_cache=False)
     bad = _corrupted(t, corrupt)
-    assert bad.cyclotomic_values() == t.cyclotomic_values()
+    assert oracles.cyclotomic_values(bad) == oracles.cyclotomic_values(t)
     with pytest.raises(InternalInconsistency):
         bad.verify_orthogonality()
 
@@ -409,9 +409,9 @@ def _pair_counts(g, reps, left_divide):
     return a
 
 
-@pytest.mark.parametrize("name", sorted(corpus()))
+@pytest.mark.parametrize("name", sorted(oracles.corpus()))
 def test_class_constants_count_pairs_on_the_corpus(name):
-    g = corpus()[name]
+    g = oracles.corpus()[name]
     reps = [min(c) for c in g.conjugacy_classes()]
     expect = _pair_counts(g, reps, lambda r: [g.mult(g.inv(x), r) for x in g.elements()])
     assert np.array_equal(_class_constants(g, reps, np.array(g.class_map())), expect)
@@ -517,7 +517,8 @@ def cyclotomic_layout(data, t):
     # the former file layout: degrees and fraction-coefficient values
     del data["multiplicities"]
     data["degrees"] = t.degrees
-    data["values"] = [[v.serialize() for v in row] for row in t.cyclotomic_values()]
+    data["values"] = [[v.serialize() for v in row]
+                      for row in oracles.cyclotomic_values(t)]
 
 
 def negative_in_file(data, t):
@@ -585,7 +586,7 @@ def test_default_table_is_loaded_and_certified_once_per_group(monkeypatch, tmp_p
 # direct products: tables from the factors' tables
 
 
-_corpus = functools.cache(corpus)
+_corpus = functools.cache(oracles.corpus)
 _ORDERS = {name: g.order for name, g in _corpus().items()}
 _CLASSES = {name: len(g.conjugacy_classes()) for name, g in _corpus().items()}
 # Dixon-Schneider, the oracle, takes about a second above 64 classes
@@ -740,13 +741,13 @@ def _assert_values_match_the_oracle(g):
         got = [{key: v for key, v in zip(keys[at].tolist(), row) if v}
                for row in c[:, at].tolist()]
         assert got == [row[k] for row in expect]
-    assert s.cyclotomic_values() == [[Cyclotomic(s.conductor, v) for v in row]
-                                     for row in expect]
+    assert oracles.cyclotomic_values(s) == [
+        [Cyclotomic(s.conductor, v) for v in row] for row in expect]
 
 
-@pytest.mark.parametrize("name", sorted(corpus()))
+@pytest.mark.parametrize("name", sorted(oracles.corpus()))
 def test_values_and_row_order_match_the_oracle_on_the_corpus(name):
-    _assert_values_match_the_oracle(corpus()[name])
+    _assert_values_match_the_oracle(oracles.corpus()[name])
 
 
 @pytest.mark.parametrize("fixture", [

@@ -35,6 +35,21 @@ def test_invariants(capsys):
     assert isinstance(doc["fingerprint"], str)
 
 
+@pytest.mark.parametrize("name", ["C1", "S1", "A1", "A2"])
+def test_invariants_of_the_trivial_group(capsys, tmp_path, name):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"kind": "named", "name": name}))
+    code, doc = run(capsys, "invariants", str(p))
+    assert code == 0
+    assert doc == {
+        "abelian": True, "center_order": 1, "commutator_order": 1,
+        "exponent": 1, "feet": [], "field": "Q",
+        "fingerprint": "1:337fa11f078dde6f", "k_center_order": 1,
+        "k_center_rank": 0, "n_classes": 1, "order": 1, "semi_faithful": True,
+        "socle_abelian": True, "socle_central": True, "socle_order": 1,
+        "supports_splitting": True}
+
+
 def test_chartab(capsys):
     code, doc = run(capsys, "chartab", fx("s3.json"), "--no-cache")
     assert code == 0
@@ -250,6 +265,27 @@ def test_edim_with_facts_file(capsys, tmp_path):
         {"group": fp, "field": "Q", "lower": 2, "upper": 2, "source": "lit"}]))
     code, doc = run(capsys, "edim", fx("klein.json"), "--facts", str(f))
     assert code == 0 and doc["exact"]
+
+
+@pytest.mark.parametrize("lower, upper", [(1.9, True), (1, 1.0), (True, 1),
+                                          ("1", 1)],
+                         ids=["float-and-bool", "float", "bool", "string"])
+def test_fact_bounds_must_be_json_integers(capsys, tmp_path, lower, upper):
+    # int() would read 1.9 as 1 and true as 1: S3 over Q would print exact 1
+    from edimkit.named import named_group
+
+    f = tmp_path / "facts.json"
+    f.write_text(json.dumps([
+        {"group": named_group("S3").fingerprint(), "field": "Q",
+         "lower": lower, "upper": upper, "source": "lit"}]))
+    store = tmp_path / "store.json"
+    for argv in (["edim", fx("s3.json"), "--facts", str(f)],
+                 ["facts", "merge", str(store), str(f)]):
+        code, doc = run(capsys, *argv)
+        assert code == 2
+        assert doc == {"error": "ParseError",
+                       "detail": "fact 0 has a non-integer bound"}
+    assert not store.exists()
 
 
 def test_empty_fact_store_computes_no_fingerprint(capsys, tmp_path, monkeypatch):

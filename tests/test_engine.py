@@ -28,7 +28,8 @@ from edimkit.fields import (
 )
 from edimkit.abelian import structure
 from edimkit.groups import Subgroup, direct_product
-from edimkit.named import corpus, cyclic, named_group
+from edimkit.named import cyclic, named_group
+from oracles import corpus
 
 KBAR = algebraically_closed(0)
 

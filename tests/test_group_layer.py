@@ -22,8 +22,8 @@ from edimkit.groups import (
     direct_product,
     from_generators,
 )
-from edimkit.named import corpus, cyclic, dihedral, load_group, named_group
-from oracles import primitive_root
+from edimkit.named import cyclic, dihedral, load_group, named_group
+from oracles import corpus, primitive_root
 from test_groups import normal_subgroups_bruteforce
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "edimkit" / "fixtures"

@@ -14,7 +14,6 @@ from edimkit.groups import (
 )
 from edimkit.named import (
     alternating,
-    corpus,
     cyclic,
     dihedral,
     heisenberg3,
@@ -22,7 +21,7 @@ from edimkit.named import (
     quaternion,
     symmetric,
 )
-from oracles import intersection
+from oracles import corpus, intersection
 
 
 def normal_subgroups_bruteforce(g):
@@ -59,6 +58,7 @@ def test_orders_and_exponents():
     assert alternating(5).order == 60
     assert quaternion(8).order == 8
     assert dihedral(7).order == 14
+    assert named_group("D1").order == 2  # Dn has order 2n, D1 too
     assert heisenberg3().order == 27
     assert heisenberg3().exponent() == 3
     assert quaternion(8).exponent() == 4
@@ -105,6 +105,7 @@ def test_normal_closure_is_minimal_normal_over_seed():
     ("A4", [4], 4),
     ("Heis3", [3], 3),
     ("C12", [3, 4], 6),  # feet C2 (inside C4) and C3
+    ("C1", [], 1),  # no minimal nontrivial normal subgroup
 ])
 def test_feet_and_socle(name, feet_orders, socle_order):
     g = named_group(name)

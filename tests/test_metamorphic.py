@@ -1,6 +1,7 @@
 """Presentation independence: relabelling the points, shuffling the
 generators and adding a redundant generator change neither the `invariants`
-JSON nor the edim/covdim interval over Q."""
+JSON nor the edim/covdim interval over Q, nor the character degrees and class
+sizes, rdim and the component count over an algebraically closed field."""
 
 import contextlib
 import io
@@ -12,11 +13,16 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edimkit.chartab import character_table
 from edimkit.cli import main
 from edimkit.engine import covdim, edim
 from edimkit.errors import EdimkitError
-from edimkit.fields import rationals
+from edimkit.fields import algebraically_closed, rationals
 from edimkit.groups import from_generators
+from edimkit.repdim import min_components, rdim
+from oracles import min_components_oracle
+
+KBAR = algebraically_closed(0)
 
 
 def compose(p, q):
@@ -68,6 +74,19 @@ def intervals(gens):
     return out
 
 
+def representations(gens):
+    """Character degrees and sorted class sizes, then rdim over algclosed:0
+    (value and sorted dimension vector) and the least number of components,
+    which must equal the brute-force count."""
+    g = from_generators(gens, degree=len(gens[0]))
+    t = character_table(g)
+    w = rdim(g, KBAR)
+    m = min_components(g, KBAR)
+    assert m == min_components_oracle(g, KBAR)
+    return (t.degrees, sorted(t.class_sizes), w.value,
+            sorted(w.dimension_vector), m)
+
+
 GENERATORS = st.integers(2, 6).flatmap(
     lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3))
 
@@ -78,9 +97,10 @@ def test_small_permutation_groups_are_presentation_independent(gens, data):
     gens = [list(g) for g in gens]
     sigma = data.draw(st.permutations(range(len(gens[0]))))
     order = data.draw(st.permutations(range(len(gens))))
-    expect = invariants(gens), intervals(gens)
+    expect = invariants(gens), intervals(gens), representations(gens)
     for name, other in presentations(gens, sigma, order).items():
-        assert (invariants(other), intervals(other)) == expect, name
+        assert (invariants(other), intervals(other),
+                representations(other)) == expect, name
 
 
 AGL_1_67 = [[2 * x % 67 for x in range(67)], [(x + 1) % 67 for x in range(67)]]

@@ -314,7 +314,6 @@ def test_map_from_json():
         "generators_target": [[[1, 0], [0, 1]]],
     }
     phi, gv, gw = map_from_json(data)
-    assert phi.is_regular()
     assert verify_equivariance(phi, gv, gw)
     h, mat = homogenize(phi, OneParamSubgroup((1, 3)))
     assert mat.as_lists() == [[1, 2], [0, 0]]

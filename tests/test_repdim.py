@@ -16,17 +16,17 @@ from edimkit.fields import (
 )
 from edimkit.engine import edim
 from edimkit.groups import FiniteGroup, Subgroup, all_subgroups, direct_product
-from edimkit.named import corpus, named_group
+from edimkit.named import named_group
 from edimkit.repdim import (
     _direct_factor_exponent,
     central_ext_rdim,
     check_transfer_hypotheses,
     min_components,
-    min_components_oracle,
     minimal_basis,
     rdim,
     restriction_data,
 )
+from oracles import corpus, cyclotomic_values, min_components_oracle, rdim_path
 
 KBAR = algebraically_closed(0)
 
@@ -112,10 +112,10 @@ def test_rdim_requires_splitting():
 def test_rdim_paths_agree_on_corpus():
     for name, g in corpus().items():
         w = rdim(g, KBAR)
-        wc = rdim(g, KBAR, force_path="C")
+        wc = rdim_path(g, KBAR, "C")
         assert w.value == wc.value, name
         if g.socle().is_abelian():
-            wb = rdim(g, KBAR, force_path="B")
+            wb = rdim_path(g, KBAR, "B")
             assert wb.value == w.value, name
 
 
@@ -151,7 +151,7 @@ def cyclotomic_restriction(table, a):
     """Reference: rows containing each character of a, by cyclotomic sums."""
     st = structure(a)
     e, cmap = table.conductor, table.group.class_map()
-    values = table.cyclotomic_values()
+    values = cyclotomic_values(table)
     out = []
     for row in values:
         found = set()
@@ -196,7 +196,7 @@ def test_transfer_q8xc4():
     q = g.quotient(h).target
     rep = central_ext_rdim(g, h, k4, "quotient", rdim(q, k4).value)
     assert rep.equality  # socle of Q8xC4 is the central C2xC2
-    assert rep.transferred_value == rdim(g, k4, force_path="C").value
+    assert rep.transferred_value == rdim_path(g, k4, "C").value
     assert rep.quotient_rank_identity
 
 

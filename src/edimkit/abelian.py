@@ -38,14 +38,8 @@ class AbelianStructure:
     gens: list[int]  # parent indices of the coordinate generators
     to_vec: dict = field(repr=False)
 
-    def rank(self) -> int:
-        return len(self.divisors)
-
     def to_vector(self, elem: int) -> tuple:
         return self.to_vec[elem]
-
-    def add(self, u: tuple, v: tuple) -> tuple:
-        return tuple((a + b) % d for a, b, d in zip(u, v, self.divisors))
 
 
 def structure(a: Subgroup) -> AbelianStructure:

@@ -326,9 +326,9 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
     memo = cache_dir is None and use_cache
     if memo and g._table is not None:
         return g._table
-    classes = g.conjugacy_classes()
-    if len(classes) > CLASS_LIMIT:
-        raise BackendLimit(f"{len(classes)} classes exceed the limit {CLASS_LIMIT}")
+    n = len(g.conjugacy_classes().reps)
+    if n > CLASS_LIMIT:
+        raise BackendLimit(f"{n} classes exceed the limit {CLASS_LIMIT}")
 
     table = _cache_load(g, cache_dir) if use_cache else None
     if table is None:
@@ -343,10 +343,9 @@ def character_table(g: FiniteGroup, cache_dir: Optional[str] = None,
 
 def _class_data(g: FiniteGroup) -> tuple[list[int], list[int], list[int]]:
     """Class representatives (least elements), class sizes and inverse classes."""
-    classes = g.conjugacy_classes()
-    cmap = g.class_map()
-    reps = [min(c) for c in classes]
-    return reps, [len(c) for c in classes], [cmap[g.inv(r)] for r in reps]
+    c = g.conjugacy_classes()
+    return (c.reps.tolist(), c.sizes.tolist(),
+            c.index[g.backend.inverse[c.reps]].tolist())
 
 
 def _sorted_rows(t: CharacterTable) -> CharacterTable:
@@ -436,7 +435,7 @@ def _convolution(o1: int, o2: int) -> np.ndarray:
 def _dixon_schneider(g: FiniteGroup) -> CharacterTable:
     reps, sizes, inv_class = _class_data(g)
     n = len(reps)
-    cmap = np.array(g.class_map())
+    cmap = g.conjugacy_classes().index
     e = g.exponent()
     order = g.order
     # q > 2 sqrt |G| determines degrees by their residues, q > n makes the
@@ -500,7 +499,7 @@ def _class_constants(g: FiniteGroup, reps: list[int], cmap: np.ndarray) -> np.nd
     """a[i, j, k] = #{(x, y) in C_i x C_j : x y = r_k}, counted as
     #{u : u^-1 in C_i, u r_k in C_j} with one bincount per class rep r_k."""
     n = len(reps)
-    inv_cmap = cmap[[g.inv(u) for u in g.elements()]] * n
+    inv_cmap = cmap[g.backend.inverse] * n
     a = np.empty((n, n, n), dtype=np.int64)
     for k, rk in enumerate(reps):
         a[:, :, k] = np.bincount(inv_cmap + cmap[g.right_column(rk)],
@@ -601,11 +600,10 @@ def kernel(table: CharacterTable, row: int) -> Subgroup:
     unity has absolute value d only if they are equal).
     """
     g = table.group
-    cmap = g.class_map()
     d = table.degrees[row]
-    inside = [m[row, 0] == d for m in table.multiplicities]
-    return Subgroup(g, frozenset(x for x in g.elements() if inside[cmap[x]]),
-                    normal=True)
+    inside = np.array([m[row, 0] == d for m in table.multiplicities])
+    elements = np.flatnonzero(inside[g.conjugacy_classes().index])
+    return Subgroup(g, frozenset(elements.tolist()), normal=True)
 
 
 @dataclass
@@ -650,7 +648,6 @@ def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
     g = table.group
     st = structure(a)
     e = table.conductor
-    cmap = g.class_map()
     elems = sorted(a.elements)
     char_tuples = all_central_characters(st)
     r = len(st.divisors)
@@ -660,7 +657,7 @@ def restriction_data(table: CharacterTable, a: Subgroup) -> RestrictionData:
     steps = np.array([e // d for d in st.divisors], dtype=np.int64)
     exps = (vectors * steps) @ chars.T % e
     q = split_prime(e, max(table.degrees))
-    values = table.values_mod(q, [1])[0][:, [cmap[x] for x in elems]]
+    values = table.values_mod(q, [1])[0][:, g.conjugacy_classes().index[elems]]
     present = values @ root_powers(e, q)[-exps % e] % q != 0
     row_chars = []
     f_min: dict = {}

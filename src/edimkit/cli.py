@@ -75,7 +75,7 @@ def cmd_invariants(args) -> dict:
         "order": g.order,
         "exponent": g.exponent(),
         "abelian": g.is_abelian(),
-        "n_classes": len(g.conjugacy_classes()),
+        "n_classes": len(g.conjugacy_classes().reps),
         "center_order": g.center().order,
         "commutator_order": g.commutator_subgroup().order,
         "feet": sorted(ft.order for ft in feet),

@@ -135,10 +135,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def scale(self, q) -> "Cyclotomic":
-        q = Fraction(q)
-        return Cyclotomic(self.e, {t: c * q for t, c in self.coeffs.items()})
-
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta^t -> zeta^(-t)."""
         return self.galois(-1)
@@ -181,14 +177,6 @@ class Cyclotomic:
 
     def __hash__(self):
         return hash((self.e, frozenset(self.coeffs.items())))
-
-    def serialize(self) -> dict:
-        return {str(t): f"{c.numerator}/{c.denominator}"
-                for t, c in sorted(self.coeffs.items())}
-
-    @staticmethod
-    def deserialize(e: int, data: dict) -> "Cyclotomic":
-        return Cyclotomic(e, {int(t): Fraction(v) for t, v in data.items()})
 
     def __repr__(self):
         if self.is_zero():

@@ -211,7 +211,22 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
     R6, R7 and R10 recurse into a quotient by a nontrivial subgroup and R8
     into a proper subgroup, so the order strictly shrinks; R9 recurses into
     a factor of an explicit product.  MAX_RECURSION bounds the depth.
+
+    Facts (R11) are intersected with the interval after every rule has run,
+    so a fact never ends a derivation early, and a fact that crosses the
+    derived interval raises FactConflict.  Recursive calls see the facts too.
     """
+    b = _derive(g, f, facts, subgroups, _depth)
+    if facts is not None:
+        hit = facts.lookup(g, f)
+        if hit is not None:
+            b.tighten_lower(hit["lower"], "R11", CITE["R11"], hit["source"])
+            b.tighten_upper(hit["upper"], "R11", CITE["R11"], hit["source"])
+    return b
+
+
+def _derive(g, f, facts, subgroups, _depth) -> EdimResult:
+    """The interval of rules R1-R10, which stop once it is exact."""
     b = EdimResult(0, None, [], f.spec())
 
     # R1: trivial group
@@ -222,14 +237,6 @@ def edim(g: FiniteGroup, f: FieldDescriptor,
 
     # R2: any nontrivial group
     b.tighten_lower(1, "R2", CITE["R2"], f"|G| = {g.order} > 1")
-
-    # R11: external facts first, so later exact derivations are checked
-    # against them (a contradiction must surface as FactConflict)
-    if facts is not None:
-        hit = facts.lookup(g, f)
-        if hit is not None:
-            b.tighten_lower(hit["lower"], "R11", CITE["R11"], hit["source"])
-            b.tighten_upper(hit["upper"], "R11", CITE["R11"], hit["source"])
 
     # R3: abelian with enough roots of unity
     if g.is_abelian() and has_primitive_root(f, g.exponent()):

@@ -11,11 +11,13 @@ names the element directly while it needs at most 64 entries per element
 (degree**len(base) <= 64 N), else the key is binary-searched among the sorted
 keys of the elements; a direct product works componentwise on
 a1 * |G2| + a2; a quotient multiplies coset representatives in its parent.
-Whole-group data are numpy forms over mul: above the table limit the classes
-are orbit labels (each element labelled with the least element of its class)
-and closures grow a layer at a time, while on a table (mostly tiny) subgroup
-closures and classes walk element by element.  Checked tables have their
-associativity verified in full by Light's test.
+Whole-group data are numpy forms over mul.  On every backend the conjugacy
+classes are orbit labels (each element labelled with the least element of its
+class), kept once per group as an element -> class index array with the
+classes' least elements and sizes.  Subgroup closures grow a layer at a time
+above the table limit, while on a table (mostly tiny) they walk element by
+element.  Checked tables have their associativity verified in full by Light's
+test.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -189,6 +191,15 @@ def _products(mul: Callable, elems: np.ndarray) -> np.ndarray:
     return out
 
 
+class ConjugacyClasses(NamedTuple):
+    """Classes numbered by least element: index[x] is the class of element
+    x, reps[k] the least element and sizes[k] the size of class k."""
+
+    index: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+
 class FiniteGroup:
     """Finite group with elements indexed 0..order-1, identity at 0."""
 
@@ -203,8 +214,7 @@ class FiniteGroup:
         self.perms = perms
         # (g1, g2) when built as a direct product, else None
         self.factors: Optional[tuple] = None
-        self._classes: Optional[list[frozenset]] = None
-        self._class_map: Optional[list[int]] = None
+        self._classes: Optional[ConjugacyClasses] = None
         self._center: Optional["Subgroup"] = None
         self._commutator: Optional["Subgroup"] = None
         self._feet: Optional[list["Subgroup"]] = None
@@ -318,61 +328,48 @@ class FiniteGroup:
 
     # -- conjugacy classes ----------------------------------------------
 
-    def conjugacy_classes(self) -> list[frozenset]:
-        """Partition into conjugation orbits, ordered by minimal element.
+    def conjugacy_classes(self) -> ConjugacyClasses:
+        """The conjugacy classes, numbered by their least elements (memoized,
+        read-only).
 
-        A table walks each orbit under conjugation by the generators.  Any
-        other backend labels every element with the least element of its
-        orbit: each label takes the least label of its conjugates
-        s^-1 x s by the generators s and of the element it names (pointer
-        jumping), until no label changes.  A stable labelling is constant
-        on the cycles of each generator's conjugation, hence on the orbits.
+        Every backend labels each element with the least element of its
+        class.  Labels start as the elements themselves; a round lowers each
+        label to the least label among its conjugates s^-1 x s by the
+        generators s, then to the label of the element it names (pointer
+        jumping), and rounds repeat until no label changes.  A label is
+        always a conjugate of its element and never above it, so every step
+        only lowers labels, and a round that changes nothing leaves
+        label[x] <= label[s^-1 x s] for every x and generator s.  Then a label
+        cannot rise along a cycle of conjugation by s and is constant on it;
+        the generators' conjugations generate the conjugation action, so the
+        label is constant on each class.  It is a member of the class and at
+        most every member, hence its least element.  This holds for every
+        backend, since it uses only mul and inverse.
         """
         if self._classes is None:
-            classes, t = [], self.backend.table
-            if t is not None:
-                pairs = [(int(self.backend.inverse[g]), g) for g in self.generators]
-                placed: set = set()
-                for start in range(self.order):
-                    if start in placed:
-                        continue
-                    orbit, queue = {start}, [start]
-                    for x in queue:
-                        for gi, g in pairs:
-                            y = t.item(t.item(gi, x), g)
-                            if y not in orbit:
-                                orbit.add(y)
-                                queue.append(y)
-                    placed |= orbit
-                    classes.append(frozenset(orbit))
-            else:
-                every = np.arange(self.order)
-                mul, inverse = self.backend.mul, self.backend.inverse
-                moves = [mul(mul(inverse[s], every), s) for s in self.generators]
-                label = every
-                while True:
-                    new = label
-                    for move in moves:
-                        new = np.minimum(new, new[move])
-                    new = new[new]
-                    if np.array_equal(new, label):
-                        break
-                    label = new
-                members = np.argsort(label, kind="stable")
-                cuts = np.flatnonzero(np.diff(label[members])) + 1
-                classes = [frozenset(c.tolist()) for c in np.split(members, cuts)]
-            self._classes = classes
+            every = np.arange(self.order)
+            gens = np.array(self.generators, dtype=np.intp)[:, None]
+            mul, inverse = self.backend.mul, self.backend.inverse
+            # moves[j, x] = s_j^-1 x s_j
+            moves = mul(mul(inverse[gens], every), gens)
+            label = every
+            while True:
+                new = label
+                for move in moves:
+                    new = np.minimum(new, new[move])
+                new = new[new]
+                if np.array_equal(new, label):
+                    break
+                label = new
+            reps = np.flatnonzero(label == every)
+            number = np.empty(self.order, dtype=np.intp)
+            number[reps] = np.arange(len(reps))
+            index = number[label]
+            sizes = np.bincount(index, minlength=len(reps))
+            for a in (index, reps, sizes):
+                a.flags.writeable = False
+            self._classes = ConjugacyClasses(index, reps, sizes)
         return self._classes
-
-    def class_map(self) -> list[int]:
-        """Class index of every element (memoized; callers must not modify it)."""
-        if self._class_map is None:
-            cm = [0] * self.order
-            for i, c in enumerate(self.conjugacy_classes()):
-                for g in c:
-                    cm[g] = i
-            self._class_map = cm
-        return self._class_map
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -450,8 +447,7 @@ class FiniteGroup:
             orders = self.element_orders()
             closures: list[Subgroup] = []
             seen_sets = set()
-            for cls in self.conjugacy_classes():
-                rep = min(cls)
+            for rep in self.conjugacy_classes().reps.tolist():
                 if not is_prime(orders[rep]):
                     continue
                 n = self.normal_closure([rep])
@@ -511,7 +507,7 @@ class FiniteGroup:
         """Presentation-independent fingerprint: a hash of the order, the
         class sizes and the element-order histogram."""
         if self._fingerprint is None:
-            sizes = sorted(len(c) for c in self.conjugacy_classes())
+            sizes = sorted(self.conjugacy_classes().sizes.tolist())
             hist = sorted(self.element_orders())
             h = hashlib.sha256()
             h.update(json.dumps([self.order, sizes, hist]).encode())

@@ -41,6 +41,7 @@ from edimkit.errors import (
 )
 from edimkit.fields import algebraically_closed, cyclotomic_field, rationals
 from edimkit.groups import (
+    ConjugacyClasses,
     PermBackend,
     Subgroup,
     direct_product,
@@ -107,7 +108,7 @@ def test_row_orthogonality_by_hand():
             acc = Cyclotomic.zero(t.conductor)
             for k in range(3):
                 acc = acc + values[i][k] * \
-                    values[j][t.inverse_class[k]].scale(t.class_sizes[k])
+                    values[j][t.inverse_class[k]] * t.class_sizes[k]
             expected = g.order if i == j else 0
             assert acc == expected
 
@@ -147,7 +148,7 @@ def test_kernels_and_central_characters_agree_with_values(fixture):
     g = load_group(os.path.join(FIXTURES, fixture))
     t = character_table(g, use_cache=False)
     values = oracles.cyclotomic_values(t)
-    cmap, e, z = g.class_map(), t.conductor, g.center()
+    cmap, e, z = g.conjugacy_classes().index, t.conductor, g.center()
     rd = restriction_data(t, z)
     for i, d in enumerate(t.degrees):
         assert kernel(t, i).elements == \
@@ -401,7 +402,7 @@ def test_certificate_primes(e, width, bound, count):
 def _pair_counts(g, reps, left_divide):
     """a[i, j, k] = #{(x, y) in C_i x C_j : x y = r_k}, from y = x^-1 r_k
     for every x, left_divide(r) giving the list of x^-1 r."""
-    cmap = np.array(g.class_map())
+    cmap = g.conjugacy_classes().index
     n = len(reps)
     a = np.zeros((n, n, n), dtype=np.int64)
     for k, rk in enumerate(reps):
@@ -412,9 +413,10 @@ def _pair_counts(g, reps, left_divide):
 @pytest.mark.parametrize("name", sorted(oracles.corpus()))
 def test_class_constants_count_pairs_on_the_corpus(name):
     g = oracles.corpus()[name]
-    reps = [min(c) for c in g.conjugacy_classes()]
+    c = g.conjugacy_classes()
+    reps = c.reps.tolist()
     expect = _pair_counts(g, reps, lambda r: [g.mult(g.inv(x), r) for x in g.elements()])
-    assert np.array_equal(_class_constants(g, reps, np.array(g.class_map())), expect)
+    assert np.array_equal(_class_constants(g, reps, c.index), expect)
 
 
 def test_class_constants_count_pairs_on_a_permutation_backend(agl_1_67):
@@ -423,11 +425,12 @@ def test_class_constants_count_pairs_on_a_permutation_backend(agl_1_67):
     perms = np.array(g.perms)
     inverses = np.argsort(perms, axis=1)
     index = {tuple(p): i for i, p in enumerate(g.perms.tolist())}
-    reps = [min(c) for c in g.conjugacy_classes()]
+    c = g.conjugacy_classes()
+    reps = c.reps.tolist()
     # x^-1 r as a permutation: x^-1 after r
     expect = _pair_counts(g, reps, lambda r: [index[tuple(p)] for p in
                                               inverses[:, perms[r]].tolist()])
-    a = _class_constants(g, reps, np.array(g.class_map()))
+    a = _class_constants(g, reps, c.index)
     assert np.array_equal(a, expect)
     assert (a.sum(axis=(0, 1)) == g.order).all()
 
@@ -517,7 +520,8 @@ def cyclotomic_layout(data, t):
     # the former file layout: degrees and fraction-coefficient values
     del data["multiplicities"]
     data["degrees"] = t.degrees
-    data["values"] = [[v.serialize() for v in row]
+    data["values"] = [[{str(k): f"{c.numerator}/{c.denominator}"
+                        for k, c in sorted(v.coeffs.items())} for v in row]
                       for row in oracles.cyclotomic_values(t)]
 
 
@@ -588,7 +592,7 @@ def test_default_table_is_loaded_and_certified_once_per_group(monkeypatch, tmp_p
 
 _corpus = functools.cache(oracles.corpus)
 _ORDERS = {name: g.order for name, g in _corpus().items()}
-_CLASSES = {name: len(g.conjugacy_classes()) for name, g in _corpus().items()}
+_CLASSES = {name: len(g.conjugacy_classes().reps) for name, g in _corpus().items()}
 # Dixon-Schneider, the oracle, takes about a second above 64 classes
 CORPUS_PAIRS = [pytest.param(a, b, id=f"{a}x{b}", marks=[pytest.mark.slow] * (
                     _CLASSES[a] * _CLASSES[b] > 64))
@@ -661,8 +665,9 @@ def test_product_table_matches_dixon_schneider_on_the_benchmark_pool(seed):
 
 
 def _reversed_classes(g):
-    g._classes = g.conjugacy_classes()[::-1]
-    g._class_map = None
+    c = g.conjugacy_classes()
+    g._classes = ConjugacyClasses(len(c.reps) - 1 - c.index, c.reps[::-1],
+                                  c.sizes[::-1])
 
 
 def _swapped_factors(g):

@@ -310,9 +310,21 @@ def test_empty_fact_store_computes_no_fingerprint(capsys, tmp_path, monkeypatch)
     f.write_text(json.dumps([
         {"group": fp, "field": "Q", "lower": 1, "upper": 1, "source": "lit"}]))
     code, doc = run(capsys, "edim", fx("s3.json"), "--facts", str(f))
-    assert code == 0 and doc["exact"]
-    assert any(t.startswith("R11:") for t in doc["trace"])
+    assert code == 0 and doc["exact"] and doc["lower"] == 1
     assert 6 in calls
+
+
+def test_a_fact_against_the_rules_is_a_conflict(capsys, tmp_path):
+    # S3 over Q is derived exactly 1, so a fact of 5 crosses it
+    from edimkit.named import named_group
+
+    f = tmp_path / "facts.json"
+    f.write_text(json.dumps([
+        {"group": named_group("S3").fingerprint(), "field": "Q",
+         "lower": 5, "upper": 5, "source": "wrong"}]))
+    code, doc = run(capsys, "edim", fx("s3.json"), "--facts", str(f))
+    assert code == 2
+    assert doc["error"] == "FactConflict"
 
 
 def test_cache_path_and_clear(capsys, tmp_path):

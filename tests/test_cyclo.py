@@ -82,7 +82,7 @@ def test_conjugate_and_norm():
 
 def test_galois_is_multiplicative():
     z = zeta(12)
-    v = 2 + z + z * z.scale(3)
+    v = 2 + z + z * (3 * z)
     for j in (1, 5, 7, 11):
         g = v.galois(j)
         # applying the inverse twist returns the original
@@ -96,12 +96,6 @@ def test_lift_preserves_values():
     assert w.e == 12
     # z3 lifted equals z12^4
     assert w == zeta(12, 4) + 2
-
-
-def test_serialize_round_trip():
-    v = zeta(12).scale(Fraction(3, 7)) - Fraction(1, 2)
-    data = v.serialize()
-    assert Cyclotomic.deserialize(12, data) == v
 
 
 @given(e=st.sampled_from([2, 3, 4, 6, 8, 12]),

@@ -95,8 +95,8 @@ def test_r6_round_trip_restores_bounds():
         rg = edim(g, k12)
         rq = edim(q, k12)
         assert rg.exact and rq.exact, name
-        rkg = structure(k_center(g, k12)).rank()
-        rkq = structure(k_center(q, k12)).rank()
+        rkg = len(structure(k_center(g, k12)).divisors)
+        rkq = len(structure(k_center(q, k12)).divisors)
         # the defect over the scalar-center rank transfers exactly
         assert rg.lower - rkg == rq.lower - rkq, name
 
@@ -164,6 +164,32 @@ def test_fact_injection_and_conflict_with_derivation():
     bad.add(fp, "Q", 3, 3, "wrong")
     with pytest.raises(FactConflict):
         edim(g, rationals(), facts=bad)
+
+
+@pytest.mark.parametrize("name, field, derived, fact", [
+    ("S3", rationals(), (1, 1), (5, 5)),
+    ("Q8", cyclotomic_field(4), (2, 2), (1, 1))], ids=["S3-Q", "Q8-Q(zeta_4)"])
+def test_a_fact_never_ends_a_derivation(name, field, derived, fact):
+    # the rules run first, so a fact that contradicts them is a conflict
+    g = named_group(name)
+    r = edim(g, field)
+    assert (r.lower, r.upper) == derived
+    s = FactStore()
+    s.add(g.fingerprint(), field.spec(), *fact, "wrong")
+    with pytest.raises(FactConflict):
+        edim(g, field, facts=s)
+
+
+def test_facts_are_intersected_after_the_rules():
+    g = named_group("S3xS3")
+    derived = edim(g, rationals())
+    assert (derived.lower, derived.upper) == (1, 2)
+    s = FactStore()
+    s.add(g.fingerprint(), "Q", 2, 2, "literature")
+    r = edim(g, rationals(), facts=s)
+    assert r.exact and r.lower == 2
+    assert r.trace[:len(derived.trace)] == derived.trace
+    assert [t[0] for t in r.trace[len(derived.trace):]] == ["R11"]
 
 
 def test_covdim_theorem():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from edimkit.chartab import _class_data
 from edimkit.errors import NotAbelian, NotNormal, ParseError
 from edimkit.groups import (
     FiniteGroup,
@@ -46,11 +47,25 @@ def brute_classes(g):
 
 
 @pytest.mark.parametrize("name", ["C2", "C6", "S3", "S4", "A4", "Q8", "D4",
-                                  "D6", "Heis3"])
+                                  "D6", "Heis3", "C1", "S3xS3", "S4xS4",
+                                  "A5xS3", "S3xS3xS3"])
 def test_center_and_classes_against_bruteforce(name):
     g = named_group(name)
     assert g.center().elements == brute_center(g)
-    assert g.conjugacy_classes() == brute_classes(g)
+    classes = brute_classes(g)
+    index = [0] * g.order
+    for k, cls in enumerate(classes):
+        for x in cls:
+            index[x] = k
+    reps = [min(cls) for cls in classes]
+    c = g.conjugacy_classes()
+    assert c.index.tolist() == index
+    assert c.reps.tolist() == reps
+    assert c.sizes.tolist() == [len(cls) for cls in classes]
+    assert not (c.index.flags.writeable or c.reps.flags.writeable
+                or c.sizes.flags.writeable)
+    assert _class_data(g) == (reps, [len(cls) for cls in classes],
+                              [index[g.inv(r)] for r in reps])
 
 
 def test_orders_and_exponents():

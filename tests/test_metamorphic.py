@@ -10,7 +10,7 @@ import os
 import random
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edimkit.chartab import character_table
@@ -87,16 +87,32 @@ def representations(gens):
             sorted(w.dimension_vector), m)
 
 
-GENERATORS = st.integers(2, 6).flatmap(
-    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+def _generators(degrees, sizes):
+    return degrees.flatmap(lambda d: st.lists(
+        st.permutations(range(d)), min_size=sizes[0], max_size=sizes[1]))
 
 
+# mostly 2-3 generators on 4-6 points, whose groups are rarely tiny; one
+# draw in four keeps the small degrees and single generators
+GENERATORS = st.one_of(*[_generators(st.integers(4, 6), (2, 3))] * 3,
+                       _generators(st.integers(2, 6), (1, 3)))
+# a presentation with a relabelling of its points and an order of its
+# generators
+CASES = GENERATORS.flatmap(lambda gens: st.tuples(
+    st.just([list(g) for g in gens]), st.permutations(range(len(gens[0]))),
+    st.permutations(range(len(gens)))))
+
+
+# groups of order divisible by 4, where the component count can exceed 1
+@example(case=([[1, 0, 2, 3], [1, 2, 3, 0]], [3, 1, 0, 2], [1, 0]))     # S4
+@example(case=([[1, 2, 3, 0], [0, 3, 2, 1]], [2, 0, 3, 1], [1, 0]))     # D4
+@example(case=([[1, 2, 3, 0]], [1, 3, 0, 2], [0]))                      # C4
+@example(case=([[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]],
+               [5, 2, 4, 0, 1, 3], [1, 0]))                             # C2 x C2
 @settings(max_examples=15, deadline=None)
-@given(gens=GENERATORS, data=st.data())
-def test_small_permutation_groups_are_presentation_independent(gens, data):
-    gens = [list(g) for g in gens]
-    sigma = data.draw(st.permutations(range(len(gens[0]))))
-    order = data.draw(st.permutations(range(len(gens))))
+@given(case=CASES)
+def test_small_permutation_groups_are_presentation_independent(case):
+    gens, sigma, order = case
     expect = invariants(gens), intervals(gens), representations(gens)
     for name, other in presentations(gens, sigma, order).items():
         assert (invariants(other), intervals(other),

@@ -150,7 +150,7 @@ def test_restriction_data_q8():
 def cyclotomic_restriction(table, a):
     """Reference: rows containing each character of a, by cyclotomic sums."""
     st = structure(a)
-    e, cmap = table.conductor, table.group.class_map()
+    e, cmap = table.conductor, table.group.conjugacy_classes().index
     values = cyclotomic_values(table)
     out = []
     for row in values:
